@@ -566,14 +566,42 @@ def ex47_field() -> FieldSpec:
     return field_from_descriptor("ext:5t^2-1")
 
 
+def _sqrt_mod(n: int, p: int):
+    """A square root of ``n`` modulo the prime ``p``, or None.
+
+    Euler's criterion decides whether one exists; Tonelli-Shanks finds it.
+    """
+    n %= p
+    if n == 0 or p == 2:
+        return n
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
 def _sqrt_inv5(F: FieldSpec):
-    """An element with square 1/5, or None."""
+    """An element with square 1/5, or None; over F_p the smaller of the two
+    roots, as a scan from 0 would find it."""
     inv5 = F.inv(F.coerce(5))
     if F.characteristic:
-        for r in range(F.characteristic):
-            if F.mul(r, r) == inv5:
-                return r
-        return None
+        p = F.characteristic
+        r = _sqrt_mod(inv5, p)
+        return None if r is None else min(r, p - r)
     gen = getattr(F, "generator", None)
     if gen is not None and F.mul(gen, gen) == inv5:
         return gen

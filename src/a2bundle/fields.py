@@ -8,7 +8,7 @@ store them directly in term dictionaries:
 * Q[t]/(m(t))    -> ``tuple[Fraction, ...]`` of length deg(m) (low to high)
 
 A :class:`FieldSpec` bundles the operations on raw values; :class:`FieldElem`
-is the small wrapper used at API boundaries (``field_arith`` and friends).
+is the small wrapper used at API boundaries.
 All arithmetic is exact; nothing here ever touches floats.
 """
 
@@ -462,29 +462,3 @@ class FieldElem:
 
     def __str__(self):
         return self.spec.to_str(self.value)
-
-
-def field_arith(op: str, lhs: FieldElem, rhs: FieldElem | None = None) -> FieldElem:
-    """Dispatch add/sub/mul/div (binary) or neg/inv (unary, rhs ignored)."""
-    if op == "neg":
-        return -lhs
-    if op == "inv":
-        return FieldElem(lhs.spec, lhs.spec.inv(lhs.raw))
-    if rhs is None:
-        raise ValueError(f"field operation {op!r} needs a second operand")
-    if lhs.spec != rhs.spec:
-        raise FieldMismatch(f"mixing elements of {lhs.spec} and {rhs.spec}")
-    fns = {
-        "add": lhs.__add__,
-        "sub": lhs.__sub__,
-        "mul": lhs.__mul__,
-        "div": lhs.__truediv__,
-    }
-    if op not in fns:
-        raise ValueError(f"unknown field operation {op!r}")
-    return fns[op](rhs)
-
-
-def char_check(spec: FieldSpec, forbidden) -> bool:
-    """True iff the characteristic of ``spec`` is not in ``forbidden``."""
-    return spec.characteristic not in set(forbidden)

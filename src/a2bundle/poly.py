@@ -7,17 +7,21 @@ variable is an expression-IO concern (the table's ``laurent`` flags), not an
 arithmetic one.
 
 Coefficients are raw field values (see :mod:`a2bundle.fields`); every
-polynomial carries its field spec. Multiplication has two paths: the plain
-dictionary convolution, and a Kronecker-substitution path over Q that packs
-each factor into one huge integer and lets gmpy2 do the heavy lifting. Both
-paths are exact and agree (there is a hypothesis test pinning that down).
+polynomial carries its field spec. Over Q and F_p, multiplication runs one
+integer convolution: Q coefficients are lifted to integer numerators over a
+common denominator per operand, F_p residues are accumulated as plain ints
+and reduced once per output term. Extension fields take the generic path
+through the field's own ``add``/``mul``. Exact division keeps its remainder
+in one dictionary and finds each leading term by popping a heap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from heapq import heapify, heappop, heappush
+from math import lcm
+from operator import add
 
 from .errors import (
     DivisionByZero,
@@ -30,12 +34,7 @@ from .errors import (
     UnexpectedVariable,
     VarTableMismatch,
 )
-from .fields import FieldElem, FieldSpec, Rationals
-
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _mpz = int
+from .fields import FieldElem, FieldSpec, PrimeField, Rationals
 
 
 @dataclass(frozen=True)
@@ -73,12 +72,36 @@ class VarTable:
 
 
 def _add_exps(e1, e2):
-    return tuple(a + b for a, b in zip(e1, e2))
+    return tuple(map(add, e1, e2))
 
 
 def _term_sort_key(item):
     exps, _ = item
     return (sum(exps), exps)
+
+
+def _lift(terms):
+    """Rational terms as ``([(exps, int numerator)], common denominator)``."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    if den == 1:
+        return [(e, c.numerator) for e, c in terms.items()], 1
+    return [(e, c.numerator * (den // c.denominator))
+            for e, c in terms.items()], den
+
+
+def _convolve(a, b):
+    """Integer product of two term lists, cancelled terms kept as 0.
+
+    The outer loop runs over ``b``, so keys appear in the order the generic
+    path inserts them.
+    """
+    out = {}
+    get = out.get
+    for e2, c2 in b:
+        for e1, c1 in a:
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return out
 
 
 class MultiPoly:
@@ -223,10 +246,6 @@ class MultiPoly:
             return other._mul_monomial(self)
         if len(other.terms) == 1:
             return self._mul_monomial(other)
-        if isinstance(self.field, Rationals):
-            kron = _mul_kronecker(self, other)
-            if kron is not None:
-                return kron
         return self._mul_dict(other)
 
     __rmul__ = __mul__
@@ -239,18 +258,30 @@ class MultiPoly:
                          _clean=False)
 
     def _mul_dict(self, other: "MultiPoly"):
-        fadd, fmul, is_zero = self.field.add, self.field.mul, self.field.is_zero
+        f = self.field
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
-        out = {}
-        for e2, c2 in b.items():
-            for e1, c1 in a.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                prior = out.get(e)
-                out[e] = fmul(c1, c2) if prior is None else fadd(prior, fmul(c1, c2))
-        return MultiPoly(self.table, self.field,
-                         {e: c for e, c in out.items() if not is_zero(c)}, _clean=False)
+        if isinstance(f, Rationals):
+            ai, da = _lift(a)
+            bi, db = _lift(b)
+            out = _convolve(ai, bi)
+            den = da * db
+            terms = {e: Fraction(c, den) for e, c in out.items() if c}
+        elif isinstance(f, PrimeField):
+            p = f.p
+            out = _convolve(list(a.items()), list(b.items()))
+            terms = {e: r for e, c in out.items() if (r := c % p)}
+        else:
+            fadd, fmul, is_zero = f.add, f.mul, f.is_zero
+            out = {}
+            for e2, c2 in b.items():
+                for e1, c1 in a.items():
+                    e = tuple(map(add, e1, e2))
+                    prior = out.get(e)
+                    out[e] = fmul(c1, c2) if prior is None else fadd(prior, fmul(c1, c2))
+            terms = {e: c for e, c in out.items() if not is_zero(c)}
+        return MultiPoly(self.table, f, terms, _clean=False)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -472,15 +503,25 @@ def substitute(poly: MultiPoly, images: dict, into: VarTable | None = None,
             hit = power_cache[key] = img_polys[name] ** k
         return hit
 
-    out = MultiPoly.zero(target, f)
+    fadd, is_zero = f.add, f.is_zero
+    out = {}
     one_exps = (0,) * len(target)
     for e, c in poly.terms.items():
         term = MultiPoly(target, f, {one_exps: f.coerce(c)}, _clean=False)
         for i, k in enumerate(e):
             if k:
                 term = term * img_power(poly.table.names[i], k)
-        out = out + term
-    return out
+        for te, tc in term.terms.items():
+            prior = out.get(te)
+            if prior is None:
+                out[te] = tc
+            else:
+                nc = fadd(prior, tc)
+                if is_zero(nc):
+                    del out[te]
+                else:
+                    out[te] = nc
+    return MultiPoly(target, f, out, _clean=False)
 
 
 def divide_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
@@ -511,20 +552,38 @@ def divide_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     dd = den.shift_exponents(tuple(-x for x in cd))
 
     f = num.field
-    fdiv, fneg = f.div, f.neg
+    fadd, fmul, fneg, fdiv, is_zero = f.add, f.mul, f.neg, f.div, f.is_zero
+    (de, dc), *tail = dd.sorted_terms()
+    rem = dict(nn.terms)
+    # max-heap on the graded order: negated (exponent sum, exponents); keys
+    # that cancelled or were already reduced are skipped when popped
+    heap = [(-sum(e), tuple(-x for x in e), e) for e in rem]
+    heapify(heap)
     quot: dict[tuple, object] = {}
-    rem = nn
-    de, dc = dd.leading_term()
-    while rem.terms:
-        re_, rc = rem.leading_term()
+    while heap:
+        re_ = heappop(heap)[2]
+        rc = rem.pop(re_, None)
+        if rc is None:
+            continue
         qe = tuple(a - b for a, b in zip(re_, de))
         if any(x < 0 for x in qe):
             raise NotDivisible(
                 f"leading term exponents {re_} not divisible by {de}")
         qc = fdiv(rc, dc)
         quot[qe] = qc
-        rem = rem + dd._mul_monomial(
-            MultiPoly(num.table, f, {qe: fneg(qc)}, _clean=False))
+        nqc = fneg(qc)
+        for e, c in tail:
+            e = tuple(map(add, e, qe))
+            prior = rem.get(e)
+            if prior is None:
+                rem[e] = fmul(c, nqc)
+                heappush(heap, (-sum(e), tuple(-x for x in e), e))
+            else:
+                nc = fadd(prior, fmul(c, nqc))
+                if is_zero(nc):
+                    del rem[e]
+                else:
+                    rem[e] = nc
     return MultiPoly(num.table, f, quot, _clean=False).shift_exponents(shift)
 
 
@@ -584,11 +643,6 @@ def split_negative_parts(f: MultiPoly, a_name: str, b_name: str
     return mk(dneg), mk(b_ok), mk(a_ok)
 
 
-def in_ring(f: MultiPoly, ring: "RingDescriptor") -> bool:
-    """True iff every term of ``f`` satisfies the ring's exponent conditions."""
-    return ring.contains(f)
-
-
 # ------------------------------------------------------------- memberships
 
 
@@ -641,98 +695,3 @@ class RingDescriptor:
 
     def contains(self, poly: MultiPoly) -> bool:
         return not self.violations(poly)
-
-
-# ---------------------------------------------- Kronecker substitution path
-
-_KRON_MIN_PAIRS = 40_000
-_KRON_MAX_SLOTS = 1 << 24
-_KRON_MAX_BYTES = 1 << 28
-
-
-def _mul_kronecker(a: MultiPoly, b: MultiPoly):
-    """Multiply over Q by packing into big integers; None if not worthwhile.
-
-    Coefficients are scaled to integers, split into positive/negative parts
-    (four nonnegative packings), and combined as P1 = A+B+ + A-B- and
-    P2 = A+B- + A-B+ so every limb of P1/P2 is a plain nonnegative sum that
-    cannot interfere with its neighbours; the output coefficient of a slot
-    is limb(P1) - limb(P2).
-    """
-    na, nb = len(a.terms), len(b.terms)
-    if na * nb < _KRON_MIN_PAIRS:
-        return None
-
-    nvars = len(a.table)
-    amin = [min(e[i] for e in a.terms) for i in range(nvars)]
-    amax = [max(e[i] for e in a.terms) for i in range(nvars)]
-    bmin = [min(e[i] for e in b.terms) for i in range(nvars)]
-    bmax = [max(e[i] for e in b.terms) for i in range(nvars)]
-    sizes = [(amax[i] - amin[i]) + (bmax[i] - bmin[i]) + 1 for i in range(nvars)]
-    nslots = 1
-    for s in sizes:
-        nslots *= s
-        if nslots > _KRON_MAX_SLOTS:
-            return None
-
-    da = db = 1
-    for c in a.terms.values():
-        da = da * c.denominator // gcd(da, c.denominator)
-    for c in b.terms.values():
-        db = db * c.denominator // gcd(db, c.denominator)
-    ai = {e: int(c * da) for e, c in a.terms.items()}
-    bi = {e: int(c * db) for e, c in b.terms.items()}
-
-    max_a = max(abs(c) for c in ai.values())
-    max_b = max(abs(c) for c in bi.values())
-    bound = max_a * max_b * min(na, nb)
-    limb = (bound.bit_length() + 7) // 8
-    if nslots * limb > _KRON_MAX_BYTES:
-        return None
-
-    strides = [0] * nvars
-    acc = 1
-    for i in range(nvars):
-        strides[i] = acc
-        acc *= sizes[i]
-
-    def pack(d, mins):
-        pos = bytearray(nslots * limb)
-        neg = bytearray(nslots * limb)
-        for e, c in d.items():
-            k = 0
-            for i in range(nvars):
-                k += (e[i] - mins[i]) * strides[i]
-            off = k * limb
-            if c > 0:
-                pos[off:off + limb] = c.to_bytes(limb, "little")
-            else:
-                neg[off:off + limb] = (-c).to_bytes(limb, "little")
-        return (_mpz(int.from_bytes(pos, "little")),
-                _mpz(int.from_bytes(neg, "little")))
-
-    ap, an = pack(ai, amin)
-    bp, bn = pack(bi, bmin)
-    p1 = int(ap * bp + an * bn)
-    p2 = int(ap * bn + an * bp)
-
-    nbytes = nslots * limb
-    b1 = p1.to_bytes(nbytes + limb, "little")
-    b2 = p2.to_bytes(nbytes + limb, "little")
-    den = da * db
-    base = [amin[i] + bmin[i] for i in range(nvars)]
-    out = {}
-    for k in range(nslots):
-        off = k * limb
-        chunk1 = b1[off:off + limb]
-        chunk2 = b2[off:off + limb]
-        if chunk1 == chunk2:
-            continue
-        c = int.from_bytes(chunk1, "little") - int.from_bytes(chunk2, "little")
-        rem = k
-        exps = [0] * nvars
-        for i in range(nvars):
-            exps[i] = base[i] + rem % sizes[i]
-            rem //= sizes[i]
-        out[tuple(exps)] = Fraction(c, den)
-    return MultiPoly(a.table, a.field, out, _clean=False)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from a2bundle.bivariable import BivariableCert, p_shift_bivariable
 from a2bundle.bundles import (
     FIVE,
+    _sqrt_inv5,
     TrivialityVerdict,
     a1_equiv,
     classify,
@@ -35,7 +37,7 @@ from a2bundle.fibration import (
     formal_transition,
     transition_function,
 )
-from a2bundle.fields import QQ
+from a2bundle.fields import QQ, PrimeField
 from a2bundle.maps import flatten
 from a2bundle.poly import MultiPoly, split_negative_parts, substitute
 
@@ -153,6 +155,25 @@ def test_congruence_move_cubic_over_f11():
     res = verify_congruence_move("ex47", field=field_from_descriptor("fp:11"))
     assert res.status == "pass"
     assert res.inputs["field"] == "fp:11"
+
+
+def test_sqrt_inv5_matches_scan_below_500():
+    for p in sympy.primerange(2, 500):
+        if p == 5:
+            continue
+        F = PrimeField(int(p))
+        inv5 = F.inv(5)
+        scan = next((r for r in range(p) if r * r % p == inv5), None)
+        assert _sqrt_inv5(F) == scan, p
+
+
+def test_sqrt_inv5_large_primes_are_fast():
+    t0 = time.perf_counter()
+    assert _sqrt_inv5(PrimeField(10**9 + 7)) is None  # 5 is a non-residue
+    F = PrimeField(10**9 + 9)
+    r = _sqrt_inv5(F)
+    assert r is not None and F.mul(F.mul(r, r), 5) == 1
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_congruence_move_quartic_tail():

@@ -9,8 +9,6 @@ from a2bundle.fields import (
     FieldElem,
     PrimeField,
     QuotientExtension,
-    char_check,
-    field_arith,
 )
 
 F11 = PrimeField(11)
@@ -103,16 +101,6 @@ def test_descriptors():
 def test_field_mismatch_and_arith_dispatch():
     with pytest.raises(FieldMismatch):
         QQ.elem(1) + F11.elem(1)
-    out = field_arith("mul", F11.elem(7), F11.elem(8))
-    assert out.value == 1
-    with pytest.raises(FieldMismatch):
-        field_arith("add", QQ.elem(1), F11.elem(1))
-
-
-def test_char_check():
-    assert char_check(QQ, [2])
-    assert not char_check(PrimeField(2), [2])
-    assert char_check(F11, [2, 3])
 
 
 small_rats = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +20,6 @@ from a2bundle.poly import (
     MultiPoly,
     RingDescriptor,
     VarTable,
-    _mul_kronecker,
     congruent_mod_power,
     divide_exact,
     split_negative_parts,
@@ -115,6 +113,72 @@ def test_mul_matches_sympy(p, q):
     lhs = to_sympy(p * q, (X, Y))
     rhs = sympy.expand(to_sympy(p, (X, Y)) * to_sympy(q, (X, Y)))
     assert sympy.expand(lhs - rhs) == 0
+
+
+EXT_I = QuotientExtension((Fraction(1), Fraction(0), Fraction(1)))  # t^2 + 1
+
+f11_coeffs = st.integers(0, 10)
+ext_coeffs = st.tuples(coeffs, coeffs)
+
+
+def laurent_polys(field, cs, **kw):
+    return st.dictionaries(exps2, cs, **kw).map(
+        lambda d: MultiPoly(T2, field, {e: field.coerce(c) for e, c in d.items()}))
+
+
+def generic_product(p, q):
+    """The field-generic convolution through ``add``/``mul``, as an oracle."""
+    f = p.field
+    a, b = p.terms, q.terms
+    if len(a) < len(b):
+        a, b = b, a
+    out = {}
+    for e2, c2 in b.items():
+        for e1, c1 in a.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = f.mul(c1, c2) if e not in out else f.add(out[e], f.mul(c1, c2))
+    return {e: c for e, c in out.items() if not f.is_zero(c)}
+
+
+def assert_kernel_matches_oracle(p, q):
+    got = p._mul_dict(q).terms
+    want = generic_product(p, q)
+    assert got == want
+    assert list(got) == list(want)  # same key order as the generic path
+    assert all(type(c) is type(p.field.one) for c in got.values())
+
+
+@given(laurent_polys(QQ, coeffs, min_size=1, max_size=10),
+       laurent_polys(QQ, coeffs, min_size=1, max_size=10))
+@settings(max_examples=60, derandomize=True)
+def test_integer_kernel_matches_generic_over_q(p, q):
+    assert_kernel_matches_oracle(p, q)
+
+
+@given(laurent_polys(F11, f11_coeffs, min_size=1, max_size=10),
+       laurent_polys(F11, f11_coeffs, min_size=1, max_size=10))
+@settings(max_examples=60, derandomize=True)
+def test_integer_kernel_matches_generic_over_f11(p, q):
+    assert_kernel_matches_oracle(p, q)
+
+
+def test_integer_kernel_cancellation():
+    for field in (QQ, F11):
+        x = MultiPoly.var(T2, field, "x")
+        y = MultiPoly.var(T2, field, "y")
+        # (x^-1/3 + y/2)(x^-1/3 - y/2): mixed denominators, cross terms cancel
+        third = field.inv(field.coerce(3))
+        half = field.inv(field.coerce(2))
+        u, v = (x ** -1).scale(third), y.scale(half)
+        p, q = u + v, u - v
+        assert_kernel_matches_oracle(p, q)
+        assert (p * q).terms.keys() == {(-2, 0), (0, 2)}
+    # over F_11 the cross term of (x + y)(x + 10y) is 11*xy, which is 0
+    x = MultiPoly.var(T2, F11, "x")
+    y = MultiPoly.var(T2, F11, "y")
+    p, q = x + y, x + y.scale(10)
+    assert_kernel_matches_oracle(p, q)
+    assert (p * q).terms == {(2, 0): 1, (0, 2): 10}
 
 
 def test_pow_negative_monomial():
@@ -220,6 +284,29 @@ def test_divide_exact_failure():
         divide_exact(x * x + 1, x + 1)
 
 
+@pytest.mark.parametrize("field, cs", [(QQ, coeffs), (F11, f11_coeffs),
+                                       (EXT_I, ext_coeffs)],
+                         ids=["q", "fp:11", "ext:t^2+1"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_divide_exact_roundtrip_laurent(field, cs, data):
+    p = data.draw(laurent_polys(field, cs, max_size=6))
+    q = data.draw(laurent_polys(field, cs, min_size=1, max_size=6))
+    if q.is_zero():
+        return
+    assert divide_exact(p * q, q) == p
+
+
+@pytest.mark.parametrize("field", [QQ, F11, EXT_I], ids=["q", "fp:11", "ext:t^2+1"])
+def test_divide_exact_rejects_non_multiple(field):
+    x = MultiPoly.var(T2, field, "x")
+    y = MultiPoly.var(T2, field, "y")
+    q = x + y ** -1
+    num = (x * x - y) * q + 1
+    with pytest.raises(NotDivisible):
+        divide_exact(num, q)
+
+
 # -------------------------------------------------------------- substitution
 
 
@@ -315,41 +402,3 @@ def test_ring_descriptor():
     blowup = RingDescriptor.polynomials(T3).allow_negative("a", "b").require_sum(["a", "b"])
     assert blowup.contains(mk(T3, {(-2, 2, 0): 1, (3, -3, 1): 5}))
     assert not blowup.contains(mk(T3, {(-2, 1, 0): 1}))
-
-
-# -------------------------------------------------------- kronecker fast path
-
-
-def _kron_force(p, q):
-    """Run the Kronecker path with its size threshold disabled."""
-    import a2bundle.poly as pp
-    saved = pp._KRON_MIN_PAIRS
-    pp._KRON_MIN_PAIRS = 0
-    try:
-        return pp._mul_kronecker(p, q)
-    finally:
-        pp._KRON_MIN_PAIRS = saved
-
-
-@given(st.dictionaries(exps2, coeffs, min_size=1, max_size=12),
-       st.dictionaries(exps2, coeffs, min_size=1, max_size=12))
-@settings(max_examples=40, derandomize=True)
-def test_kronecker_matches_dict_path(d1, d2):
-    p, q = mk(T2, d1), mk(T2, d2)
-    if p.is_zero() or q.is_zero():
-        return
-    assert _kron_force(p, q) == p._mul_dict(q)
-
-
-def test_kronecker_engages_on_large_inputs():
-    rng = random.Random(7)
-    terms_a = {(rng.randrange(-3, 40), rng.randrange(0, 30)): Fraction(rng.randrange(-99, 99) or 1,
-                                                                       rng.randrange(1, 9))
-               for _ in range(260)}
-    terms_b = {(rng.randrange(0, 35), rng.randrange(-2, 28)): Fraction(rng.randrange(-99, 99) or 1)
-               for _ in range(240)}
-    p, q = mk(T2, terms_a), mk(T2, terms_b)
-    assert len(p.terms) * len(q.terms) >= 40_000
-    fast = p * q
-    slow = p._mul_dict(q)
-    assert fast == slow
