@@ -80,6 +80,22 @@ def _term_sort_key(item):
     return (sum(exps), exps)
 
 
+def _accumulate(out, terms, field):
+    """Add ``terms`` into the term dict ``out`` in place, dropping keys whose
+    coefficient cancels."""
+    fadd, is_zero = field.add, field.is_zero
+    for e, c in terms.items():
+        prior = out.get(e)
+        if prior is None:
+            out[e] = c
+        else:
+            nc = fadd(prior, c)
+            if is_zero(nc):
+                del out[e]
+            else:
+                out[e] = nc
+
+
 def _lift(terms):
     """Rational terms as ``([(exps, int numerator)], common denominator)``."""
     den = lcm(*[c.denominator for c in terms.values()])
@@ -209,15 +225,8 @@ class MultiPoly:
         other = self._coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
-        fadd, is_zero = self.field.add, self.field.is_zero
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            prior = out.get(e)
-            nc = c if prior is None else fadd(prior, c)
-            if prior is not None and is_zero(nc):
-                del out[e]
-            else:
-                out[e] = nc
+        _accumulate(out, other.terms, self.field)
         return MultiPoly(self.table, self.field, out, _clean=False)
 
     __radd__ = __add__
@@ -503,7 +512,6 @@ def substitute(poly: MultiPoly, images: dict, into: VarTable | None = None,
             hit = power_cache[key] = img_polys[name] ** k
         return hit
 
-    fadd, is_zero = f.add, f.is_zero
     out = {}
     one_exps = (0,) * len(target)
     for e, c in poly.terms.items():
@@ -511,16 +519,7 @@ def substitute(poly: MultiPoly, images: dict, into: VarTable | None = None,
         for i, k in enumerate(e):
             if k:
                 term = term * img_power(poly.table.names[i], k)
-        for te, tc in term.terms.items():
-            prior = out.get(te)
-            if prior is None:
-                out[te] = tc
-            else:
-                nc = fadd(prior, tc)
-                if is_zero(nc):
-                    del out[te]
-                else:
-                    out[te] = nc
+        _accumulate(out, term.terms, f)
     return MultiPoly(target, f, out, _clean=False)
 
 
