@@ -299,10 +299,7 @@ def extend_a(cert: BivariableCert, m: int, n: int, Q: MultiPoly
     _positive(m=m, n=n)
     F = cert.field
     tf = cert.f
-    if tf.m_min > m or tf.n_min > n:
-        raise PreconditionViolated(
-            f"need a^{m}*b^{n}*f polynomial; f has denominators "
-            f"a^{tf.m_min}*b^{tf.n_min}")
+    tf.require_cleared_by(m, n)
     q = _univariate_payload(Q, "extension payload Q")
     a = MultiPoly.var(GLUE, F, "a")
     y = MultiPoly.var(GLUE, F, "y")
@@ -326,10 +323,7 @@ def extend_b(cert: BivariableCert, m: int, n: int, Q: MultiPoly
     _positive(m=m, n=n)
     F = cert.field
     tf = cert.f
-    if tf.m_min > m or tf.n_min > n:
-        raise PreconditionViolated(
-            f"need a^{m}*b^{n}*f polynomial; f has denominators "
-            f"a^{tf.m_min}*b^{tf.n_min}")
+    tf.require_cleared_by(m, n)
     q = _univariate_payload(Q, "extension payload Q")
     b = MultiPoly.var(GLUE, F, "b")
     y = MultiPoly.var(GLUE, F, "y")
@@ -367,8 +361,8 @@ def p_shift_bivariable(P: MultiPoly) -> BivariableCert:
     return extend_b(base, 1, 2, q)
 
 
-def lemma44_bivariable(P: MultiPoly) -> BivariableCert:
-    """The quadratic-descent certificate.
+def _descend(P: MultiPoly, b: CheckBuilder) -> BivariableCert:
+    """The quadratic-descent certificate, with every step recorded into ``b``.
 
     For quadratic ``P`` (characteristic not 2, leading coefficient ``c``),
     extend the :func:`p_shift_bivariable` certificate on the a-side with
@@ -384,8 +378,9 @@ def lemma44_bivariable(P: MultiPoly) -> BivariableCert:
       of extra terms: it agrees with the two-step closed form of the
       ``(P, 2)`` fibration up to a chart-polynomial shift.
 
-    Violations raise :class:`CongruenceFailed` (or :class:`CharTwoField`
-    for bad characteristic); success returns the extended certificate.
+    Bad input raises :class:`CharTwoField` or :class:`PreconditionViolated`;
+    a failed step is recorded in ``b``, never raised.  Returns the extended
+    certificate.
     """
     P = _univariate_in_z(P)
     F = P.field
@@ -400,34 +395,50 @@ def lemma44_bivariable(P: MultiPoly) -> BivariableCert:
     cert = p_shift_bivariable(P)
     a = MultiPoly.var(GLUE, F, "a")
     x = MultiPoly.var(GLUE, F, "x")
-    q = (a * x).scale(inv2c)
-    hat = extend_a(cert, 3, 2, q)
+    hat = extend_a(cert, 3, 2, (a * x).scale(inv2c))
+    b.expect("descent-constructs", True)
 
-    ring_b_xy = RING_B  # k[a, b^{-1}, b][x, y]
+    # RING_B is k[a, b^{-1}, b][x, y]
     delta = (a ** 5 * cert.tau_a).scale(inv2c)
-    if not ring_b_xy.contains(delta) or delta.min_degree_in("a") < 2:
-        raise CongruenceFailed(
-            f"element shift {delta} does not sit in a^2*k[a,b^-1,b][x,y]")
-    if not congruent_mod_power(delta * delta, MultiPoly.zero(GLUE, F),
-                               "a", 4, ambient=ring_b_xy):
-        raise CongruenceFailed("square of the element shift survives mod a^4")
-
+    b.expect_zero("element-shift", hat.omega - cert.omega - delta)
+    b.expect("shift-in-a^2-ring",
+             RING_B.contains(delta) and delta.min_degree_in("a") >= 2,
+             str(delta))
+    b.expect("shift-square-mod-a^4",
+             congruent_mod_power(delta * delta, MultiPoly.zero(GLUE, F),
+                                 "a", 4, ambient=RING_B))
     f_b = a ** 3 * to_glue(cert.f.f)
     fhat_b = a ** 3 * to_glue(hat.f.f)
-    lhs = substitute(fhat_b, {"x": hat.omega})
-    rhs = substitute(f_b, {"x": cert.omega})
-    if not congruent_mod_power(lhs, rhs, "a", 3, ambient=ring_b_xy):
-        raise CongruenceFailed(
-            "pulled-back glueing functions disagree mod a^3")
+    b.expect("pullback-congruence-mod-a^3",
+             congruent_mod_power(substitute(fhat_b, {"x": hat.omega}),
+                                 substitute(f_b, {"x": cert.omega}),
+                                 "a", 3, ambient=RING_B))
 
     from .bundles import a1_equiv  # late import; bundles uses this module
 
-    spec = FibrationSpec(P, 2)
-    target = TransitionFunction.from_poly(closed_form_m2(spec))
-    if a1_equiv(hat.f, target) is None:
-        raise CongruenceFailed(
-            "descended glueing function is not chart-equivalent to the "
-            "two-step closed form")
+    target = TransitionFunction.from_poly(closed_form_m2(FibrationSpec(P, 2)))
+    eq = a1_equiv(hat.f, target)
+    b.expect("matches-two-step-closed-form", eq is not None)
+    if eq is not None:
+        lam, r_a, r_b = eq
+        b.witness(scale=str(lam), a_chart_shift=str(r_a),
+                  b_chart_shift=str(r_b))
+    b.witness(element=str(hat.omega))
+    return hat
+
+
+def lemma44_bivariable(P: MultiPoly) -> BivariableCert:
+    """The quadratic-descent certificate of :func:`_descend`.
+
+    Raises :class:`CharTwoField` or :class:`PreconditionViolated` for bad
+    input and :class:`CongruenceFailed` naming the first failed step.
+    """
+    b = CheckBuilder("lemma44")
+    hat = _descend(P, b)
+    for name, value in b.residuals.items():
+        if value not in ("0", "ok"):
+            raise CongruenceFailed(
+                f"quadratic descent step {name} failed: {value}")
     return hat
 
 
@@ -572,47 +583,14 @@ def verify_p_shift(p_texts=("z^2", "z^2 + z", "z^3 + 2*z"),
 
 def verify_quadratic_descent(p_text: str = "z^2",
                              field: FieldSpec = QQ) -> CheckResult:
-    """End-to-end quadratic descent: rebuilds the chain and re-runs its
-    congruences as reported expectations."""
+    """End-to-end quadratic descent: the steps of :func:`_descend` as
+    reported expectations."""
     b = CheckBuilder("lemma44", P=p_text, field=field.descriptor())
     P = parse(p_text, PVAR, field)
     try:
-        hat = lemma44_bivariable(P)
+        _descend(P, b)
     except (CongruenceFailed, CharTwoField, PreconditionViolated) as exc:
         b.expect("descent-constructs", False, str(exc))
-        return b.done()
-    b.expect("descent-constructs", True)
-
-    F = field
-    cert = p_shift_bivariable(P)
-    c = P.coefficient_in("z", 2).constant_value()
-    inv2c = F.inv(F.mul(F.coerce(2), c))
-    a = MultiPoly.var(GLUE, F, "a")
-    delta = (a ** 5 * cert.tau_a).scale(inv2c)
-    b.expect_zero("element-shift", hat.omega - cert.omega - delta)
-    b.expect("shift-in-a^2-ring",
-             RING_B.contains(delta) and delta.min_degree_in("a") >= 2,
-             str(delta))
-    b.expect("shift-square-mod-a^4",
-             congruent_mod_power(delta * delta, MultiPoly.zero(GLUE, F),
-                                 "a", 4, ambient=RING_B))
-    f_b = a ** 3 * to_glue(cert.f.f)
-    fhat_b = a ** 3 * to_glue(hat.f.f)
-    b.expect("pullback-congruence-mod-a^3",
-             congruent_mod_power(substitute(fhat_b, {"x": hat.omega}),
-                                 substitute(f_b, {"x": cert.omega}),
-                                 "a", 3, ambient=RING_B))
-
-    from .bundles import a1_equiv
-
-    target = TransitionFunction.from_poly(closed_form_m2(FibrationSpec(P, 2)))
-    eq = a1_equiv(hat.f, target)
-    b.expect("matches-two-step-closed-form", eq is not None)
-    if eq is not None:
-        lam, r_a, r_b = eq
-        b.witness(scale=str(lam), a_chart_shift=str(r_a),
-                  b_chart_shift=str(r_b))
-    b.witness(element=str(hat.omega))
     return b.done()
 
 

@@ -332,10 +332,7 @@ def hypersurface_embed(tf: TransitionFunction, m: int, n: int,
     crossing from one to the other shifts ``y`` by exactly ``f``.
     """
     F = tf.f.field
-    if m < tf.m_min or n < tf.n_min:
-        raise PreconditionViolated(
-            f"need a^{m}*b^{n}*f polynomial; f has denominators "
-            f"a^{tf.m_min}*b^{tf.n_min}")
+    tf.require_cleared_by(m, n)
     b = CheckBuilder(check_id, f=tf.f, m=m, n=n, field=F.descriptor())
     p_plane = tf.f.shift_exponents((m, n, 0))
     p4, p5 = to_glue(p_plane), _to_five(p_plane)
@@ -463,10 +460,7 @@ def prop63_membership(tf: TransitionFunction, m: int, n: int,
     chart's polynomial ring -- on the nose, as ``b^n*y`` resp. ``a^m*y``.
     """
     F = tf.f.field
-    if m < tf.m_min or n < tf.n_min:
-        raise PreconditionViolated(
-            f"need a^{m}*b^{n}*f polynomial; f has denominators "
-            f"a^{tf.m_min}*b^{tf.n_min}")
+    tf.require_cleared_by(m, n)
     b = CheckBuilder(check_id, f=tf.f, m=m, n=n, field=F.descriptor())
     p4 = to_glue(tf.f.shift_exponents((m, n, 0)))
     fg = to_glue(tf.f)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .errors import NoPolynomialSInRange, PreconditionViolated
 from .exprio import parse
 from .fields import QQ, FieldSpec
-from .maps import PolyMap, Scale, Triangular, check_membership, flatten, invert
+from .maps import PolyMap, Scale, Triangular, flatten, invert
 from .poly import (
     MultiPoly,
     RingDescriptor,
@@ -248,6 +248,14 @@ class TransitionFunction:
         shift = MultiPoly.monomial(f.table, f.field, (m_min, n_min, 0))
         return cls(f, m_min, n_min, f * shift)
 
+    def require_cleared_by(self, m: int, n: int) -> None:
+        """Raise :class:`PreconditionViolated` unless ``a^m*b^n*f`` is a
+        polynomial."""
+        if m < self.m_min or n < self.n_min:
+            raise PreconditionViolated(
+                f"need a^{m}*b^{n}*f polynomial; f has denominators "
+                f"a^{self.m_min}*b^{self.n_min}")
+
 
 def transition_function(spec: FibrationSpec, m: int | None = None
                         ) -> TransitionFunction:
@@ -430,8 +438,9 @@ def verify_stable_variable(spec: FibrationSpec, s_max: int = 12) -> CheckResult:
     s, word = stable_variable(spec, s_max)
     flat = flatten(word, CHART_EXT, F, base=("x",))
     ring = RingDescriptor.polynomials(CHART_EXT)
-    check_membership(flat, ring)  # raises MembershipError if violated
-    b.expect("components-polynomial", True)
+    bad = [(name, c) for name, c in flat.comps.items() if not ring.contains(c)]
+    b.expect("components-polynomial", not bad,
+             "; ".join(f"{name} = {c}" for name, c in bad))
     b.expect_zero("jacobian-minus-1", flat.jac - 1)
     v = build_v(spec, CHART_EXT)
     x = MultiPoly.var(CHART_EXT, F, "x")

@@ -65,9 +65,6 @@ class Triangular:
     def inverse(self) -> "Triangular":
         return Triangular(self.var, -self.shift)
 
-    def det(self, table, field) -> MultiPoly:
-        return MultiPoly.const(table, field, 1)
-
     def det_frac(self, table, field, state):
         return MultiPoly.const(table, field, 1), MultiPoly.const(table, field, 1)
 
@@ -96,9 +93,6 @@ class Scale:
 
     def inverse(self) -> "Scale":
         return Scale(self.var, self.unit ** -1)
-
-    def det(self, table, field) -> MultiPoly:
-        return self.unit
 
     def det_frac(self, table, field, state):
         """The unit pushed through ``state`` as an exact fraction.
@@ -242,12 +236,9 @@ class Lemma41Block:
         return Lemma41Block(self.var_x, self.var_y, self.scalar, self.m,
                             -self.q, self.g, self.f)
 
-    def det(self, table, field) -> MultiPoly:
+    def det_frac(self, table, field, state):
         # 2x2 determinant collapses to 1 after the exact division; the
         # flatten() tests cross-check this against the full matrix.
-        return MultiPoly.const(table, field, 1)
-
-    def det_frac(self, table, field, state):
         return MultiPoly.const(table, field, 1), MultiPoly.const(table, field, 1)
 
     def apply(self, state: dict) -> None:

@@ -304,14 +304,19 @@ class MultiPoly:
             inv = MultiPoly(self.table, self.field,
                             {tuple(-x for x in e): inv_c}, _clean=False)
             return inv ** (-n)
-        result = MultiPoly.const(self.table, self.field, 1)
+        if n == 0:
+            return MultiPoly.const(self.table, self.field, 1)
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
             n >>= 1
-            if n:
-                base = base * base
         return result
 
     def scale(self, value):

@@ -5,6 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from a2bundle import bivariable, bundles
 from a2bundle.bivariable import (
     GLUE,
     RING_A,
@@ -31,6 +32,7 @@ from a2bundle.bivariable import (
 )
 from a2bundle.errors import (
     CharTwoField,
+    CongruenceFailed,
     JacobianNotUnit,
     MembershipError,
     PreconditionViolated,
@@ -384,6 +386,36 @@ def test_verify_quadratic_descent_reports_char_two():
     res = verify_quadratic_descent("z^2", field=field_from_descriptor("fp:2"))
     assert res.status == "fail"
     assert any("descent-constructs" in r for r in res.residuals)
+
+
+def test_verify_quadratic_descent_certifies_three_times(monkeypatch):
+    calls = {"certify": 0, "a1_equiv": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapped
+
+    monkeypatch.setattr(bivariable, "certify", counting("certify", certify))
+    monkeypatch.setattr(bundles, "a1_equiv", counting("a1_equiv", bundles.a1_equiv))
+    assert verify_quadratic_descent("z^2").status == "pass"
+    assert calls == {"certify": 3, "a1_equiv": 1}
+
+
+def test_quadratic_descent_failed_step_is_recorded_and_raised(monkeypatch):
+    monkeypatch.setattr(bundles, "a1_equiv", lambda f, g: None)
+    res = verify_quadratic_descent("z^2")
+    assert res.status == "fail"
+    step = "matches-two-step-closed-form"
+    assert res.residuals[step] == "failed"
+    others = {k: v for k, v in res.residuals.items() if k != step}
+    assert set(others) == {"descent-constructs", "element-shift",
+                           "shift-in-a^2-ring", "shift-square-mod-a^4",
+                           "pullback-congruence-mod-a^3"}
+    assert all(v in ("ok", "0") for v in others.values())
+    with pytest.raises(CongruenceFailed, match=step):
+        lemma44_bivariable(zpoly("z^2"))
 
 
 def test_verify_mixed_denominator_passes():

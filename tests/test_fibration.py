@@ -29,7 +29,8 @@ from a2bundle.fibration import (
     verify_small_m_shapes,
     verify_stable_variable,
 )
-from a2bundle.maps import flatten, invert
+from a2bundle import fibration
+from a2bundle.maps import Triangular, flatten, invert
 from a2bundle.poly import MultiPoly, RingDescriptor, VarTable, substitute
 
 
@@ -266,3 +267,22 @@ def test_stable_variable_check():
     assert r.ok, r.residuals
     assert r.witness["s"] == 3
     assert r.check_id == "prop22"
+
+
+def test_stable_variable_check_records_non_polynomial_conjugate(monkeypatch):
+    # s = 1 is below the stability exponent of (z^2, n=1): the conjugate
+    # leaves the polynomial ring, which must be a recorded fail, not a raise
+    sp = spec("z^2", 1)
+    phi = build_phi_word(sp, CHART_EXT)
+    x = MultiPoly.var(CHART_EXT, QQ, "x")
+    t = MultiPoly.var(CHART_EXT, QQ, "t")
+    word = phi + (Triangular("y", x * t),) + invert(phi)
+    monkeypatch.setattr(fibration, "stable_variable", lambda spec, s_max: (1, word))
+    flat = flatten(word, CHART_EXT, QQ, base=("x",))
+    ring = RingDescriptor.polynomials(CHART_EXT)
+    bad = [(name, c) for name, c in flat.comps.items() if not ring.contains(c)]
+    assert bad
+    r = verify_stable_variable(sp)
+    assert r.status == "fail"
+    assert r.residuals["components-polynomial"] == "; ".join(
+        f"{name} = {c}" for name, c in bad)

@@ -26,7 +26,7 @@ def _digest(doc):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("field", ["q", "fp:11"])
+@pytest.mark.parametrize("field", ["q", "fp:11", "ext:t^2+1"])
 def test_verify_all_matches_golden_digest(field):
     golden = json.loads(GOLDEN.read_text())
     buf = io.StringIO()

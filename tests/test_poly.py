@@ -190,6 +190,20 @@ def test_pow_negative_monomial():
         p ** -1
 
 
+@pytest.mark.parametrize("field", [QQ, F11, EXT_I], ids=["q", "fp:11", "ext:t^2+1"])
+def test_pow_matches_repeated_multiplication(field):
+    x = MultiPoly.var(T3, field, "x")
+    a = MultiPoly.var(T3, field, "a")
+    c = field.coerce((Fraction(2, 3), Fraction(5)) if field is EXT_I else 7)
+    multi = (x * a).scale(c) + a ** 2 + MultiPoly.const(T3, field, 3)
+    laurent = MultiPoly.monomial(T3, field, (-2, 1, 3), c)
+    for p in (multi, laurent):
+        acc = MultiPoly.const(T3, field, 1)
+        for k in range(6):
+            assert p ** k == acc
+            acc = acc * p
+
+
 def test_freshmans_dream_in_f11():
     x = MultiPoly.var(T2, F11, "x")
     y = MultiPoly.var(T2, F11, "y")
