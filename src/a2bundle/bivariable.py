@@ -41,7 +41,6 @@ from .fibration import PLANE, PVAR, FibrationSpec, TransitionFunction, closed_fo
 from .maps import (
     Lemma41Block,
     Permute,
-    PolyMap,
     Scale,
     Triangular,
     check_membership,

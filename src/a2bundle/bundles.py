@@ -36,8 +36,6 @@ from .bivariable import (
     GLUE,
     RING_A,
     RING_B,
-    RING_ALL,
-    BivariableCert,
     certify,
     p_shift_bivariable,
     to_glue,
@@ -47,7 +45,7 @@ from .errors import (
     PreconditionViolated,
     ShapeError,
 )
-from .exprio import parse, to_expr
+from .exprio import parse
 from .fibration import (
     PLANE,
     PVAR,
@@ -60,7 +58,6 @@ from .maps import (
     Lemma41Block,
     Scale,
     Triangular,
-    check_membership,
     flatten,
     invert,
     lemma41_build,

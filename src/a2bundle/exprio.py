@@ -27,7 +27,7 @@ from .errors import (
     NegativeExponentNotAllowed,
     UnknownVariable,
 )
-from .fields import FieldSpec, PrimeField, QuotientExtension, Rationals, QQ
+from .fields import FieldSpec, PrimeField, QuotientExtension, QQ
 from .poly import MultiPoly, VarTable, divide_exact
 
 

@@ -7,12 +7,20 @@ variable is an expression-IO concern (the table's ``laurent`` flags), not an
 arithmetic one.
 
 Coefficients are raw field values (see :mod:`a2bundle.fields`); every
-polynomial carries its field spec. Over Q and F_p, multiplication runs one
-integer convolution: Q coefficients are lifted to integer numerators over a
-common denominator per operand, F_p residues are accumulated as plain ints
-and reduced once per output term. Extension fields take the generic path
-through the field's own ``add``/``mul``. Exact division keeps its remainder
-in one dictionary and finds each leading term by popping a heap.
+polynomial carries its field spec. Multiplication of two multi-term
+polynomials runs one integer convolution per field kind, with no pass
+through the field's own ``add``/``mul``:
+
+* over Q, coefficients are lifted to integer numerators over a common
+  denominator per operand, and each output term becomes one ``Fraction``;
+* over F_p, residues are accumulated as plain ints and reduced mod p once
+  per output term;
+* over Q[t]/(m), coefficient tuples are lifted to integer vectors over a
+  common denominator per operand and convolved in Z[t]; each output term
+  is divided by the denominators and reduced modulo m once.
+
+Exact division keeps its remainder in one dictionary and finds each leading
+term by popping a heap.
 """
 
 from __future__ import annotations
@@ -108,8 +116,8 @@ def _lift(terms):
 def _convolve(a, b):
     """Integer product of two term lists, cancelled terms kept as 0.
 
-    The outer loop runs over ``b``, so keys appear in the order the generic
-    path inserts them.
+    The outer loop runs over ``b``: keys appear in the order of the
+    term-by-term product, ``b`` outer and ``a`` inner.
     """
     out = {}
     get = out.get
@@ -117,6 +125,32 @@ def _convolve(a, b):
         for e1, c1 in a:
             e = tuple(map(add, e1, e2))
             out[e] = get(e, 0) + c1 * c2
+    return out
+
+
+def _lift_vectors(terms):
+    """Extension-field terms as ``([(exps, [(i, int numerator)])], common
+    denominator)``, listing the nonzero components of each coefficient."""
+    den = lcm(*[c.denominator for v in terms.values() for c in v])
+    return [(e, [(i, c.numerator * (den // c.denominator))
+                 for i, c in enumerate(v) if c])
+            for e, v in terms.items()], den
+
+
+def _convolve_vectors(a, b, n):
+    """Product in Z[t] of two lifted term lists: an unreduced integer vector
+    of length ``n`` per output exponent, keys in the order of :func:`_convolve`."""
+    out = {}
+    get = out.get
+    for e2, w in b:
+        for e1, u in a:
+            e = tuple(map(add, e1, e2))
+            acc = get(e)
+            if acc is None:
+                out[e] = acc = [0] * n
+            for i, x in u:
+                for j, y in w:
+                    acc[i + j] += x * y
     return out
 
 
@@ -261,6 +295,8 @@ class MultiPoly:
 
     def _mul_monomial(self, mono: "MultiPoly"):
         (me, mc), = mono.terms.items()
+        if mc == self.field.one:
+            return self.shift_exponents(me)
         fmul = self.field.mul
         return MultiPoly(self.table, self.field,
                          {_add_exps(e, me): fmul(c, mc) for e, c in self.terms.items()},
@@ -282,14 +318,12 @@ class MultiPoly:
             out = _convolve(list(a.items()), list(b.items()))
             terms = {e: r for e, c in out.items() if (r := c % p)}
         else:
-            fadd, fmul, is_zero = f.add, f.mul, f.is_zero
-            out = {}
-            for e2, c2 in b.items():
-                for e1, c1 in a.items():
-                    e = tuple(map(add, e1, e2))
-                    prior = out.get(e)
-                    out[e] = fmul(c1, c2) if prior is None else fadd(prior, fmul(c1, c2))
-            terms = {e: c for e, c in out.items() if not is_zero(c)}
+            ai, da = _lift_vectors(a)
+            bi, db = _lift_vectors(b)
+            out = _convolve_vectors(ai, bi, 2 * f.degree - 1)
+            den, reduce = da * db, f._reduce
+            terms = {e: r for e, v in out.items()
+                     if any(r := reduce([Fraction(x, den) for x in v]))}
         return MultiPoly(self.table, f, terms, _clean=False)
 
     def __pow__(self, n: int):
@@ -556,8 +590,9 @@ def divide_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     dd = den.shift_exponents(tuple(-x for x in cd))
 
     f = num.field
-    fadd, fmul, fneg, fdiv, is_zero = f.add, f.mul, f.neg, f.div, f.is_zero
+    fadd, fmul, fneg, is_zero = f.add, f.mul, f.neg, f.is_zero
     (de, dc), *tail = dd.sorted_terms()
+    inv_dc = f.inv(dc)
     rem = dict(nn.terms)
     # max-heap on the graded order: negated (exponent sum, exponents); keys
     # that cancelled or were already reduced are skipped when popped
@@ -573,7 +608,7 @@ def divide_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
         if any(x < 0 for x in qe):
             raise NotDivisible(
                 f"leading term exponents {re_} not divisible by {de}")
-        qc = fdiv(rc, dc)
+        qc = fmul(rc, inv_dc)
         quot[qe] = qc
         nqc = fneg(qc)
         for e, c in tail:

@@ -1,0 +1,53 @@
+"""Every name a library module imports from the package is read somewhere in it.
+
+A stdlib ``ast`` scan standing in for a linter: for each module of
+``src/a2bundle`` it collects the names bound by relative imports
+(``from .x import y``) and fails on any that the module never reads. Names
+used only inside quoted annotations count as read. ``__init__.py`` is skipped:
+its imports are the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "a2bundle"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _names_read(tree):
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for ann in _annotations(tree):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                # a quoted annotation such as "RingDescriptor | None"
+                expr = ast.parse(node.value, mode="eval")
+                read.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return read
+
+
+def _relative_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_relative_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = _names_read(tree)
+    unused = [f"{name} (line {line})" for name, line in _relative_imports(tree)
+              if name not in read]
+    assert not unused, f"{path.name} imports but never reads: {', '.join(unused)}"

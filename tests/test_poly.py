@@ -179,6 +179,58 @@ def test_integer_kernel_cancellation():
     p, q = x + y, x + y.scale(10)
     assert_kernel_matches_oracle(p, q)
     assert (p * q).terms == {(2, 0): 1, (0, 2): 10}
+    # over Q[t]/(t^2 + 1), (x + t*y)(y + t*x) = t*x^2 + t*y^2: the xy term
+    # accumulates 1 + t^2, nonzero in Q[t] but zero after reduction
+    x = MultiPoly.var(T2, EXT_I, "x")
+    y = MultiPoly.var(T2, EXT_I, "y")
+    t = EXT_I.generator
+    p, q = x + y.scale(t), y + x.scale(t)
+    assert_kernel_matches_oracle(p, q)
+    assert (p * q).terms == {(0, 2): t, (2, 0): t}
+
+
+@given(laurent_polys(EXT_I, ext_coeffs, min_size=1, max_size=10),
+       laurent_polys(EXT_I, ext_coeffs, min_size=1, max_size=10))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_integer_kernel_matches_generic_over_ext(p, q):
+    assert_kernel_matches_oracle(p, q)
+
+
+EXT_CBRT2 = QuotientExtension((Fraction(-2), Fraction(0), Fraction(0), Fraction(1)))
+EXT_5 = QuotientExtension((Fraction(-1), Fraction(0), Fraction(5)))  # t^2 - 1/5
+
+
+@pytest.mark.parametrize("field", [EXT_CBRT2, EXT_5], ids=["ext:t^3-2", "ext:5t^2-1"])
+def test_integer_kernel_matches_generic_fixed_extensions(field):
+    assert field.minpoly[-1] == 1  # stored monic: 5t^2 - 1 becomes t^2 - 1/5
+
+    def poly(terms):
+        return MultiPoly(T2, field, {e: field.coerce(c) for e, c in terms.items()})
+
+    # full-length coefficients, so products reach t^(2d-2) and every
+    # reduction row is used
+    u = (Fraction(1, 2), Fraction(3), Fraction(-2, 7))
+    w = (Fraction(5), Fraction(-1, 3), Fraction(4))
+    p = poly({(2, 0): u, (1, -1): w, (0, 0): Fraction(3, 5), (-1, 2): (0, 1)})
+    q = poly({(1, 0): w, (0, 1): u, (-2, 0): (Fraction(7, 4), 0, 1)})
+    assert_kernel_matches_oracle(p, q)
+    assert_kernel_matches_oracle(p, p)
+    assert_kernel_matches_oracle(q, p + q)
+
+
+@pytest.mark.parametrize("field", [QQ, F11, EXT_I], ids=["q", "fp:11", "ext:t^2+1"])
+def test_monomial_by_one_matches_multiply(field):
+    c = field.coerce((Fraction(2, 3), Fraction(5)) if field is EXT_I else 7)
+    p = MultiPoly(T3, field, {(1, 0, 2): c, (0, -1, 0): field.one,
+                              (-2, 3, 1): field.coerce(4)})
+    for me in ((0, 0, 0), (1, -2, 3)):
+        want = {tuple(x + y for x, y in zip(e, me)): field.mul(v, field.one)
+                for e, v in p.terms.items()}
+        one = MultiPoly.monomial(T3, field, me, 1)
+        for got in ((p * one).terms, (one * p).terms):
+            assert got == want
+            assert list(got) == list(want)
+            assert all(type(v) is type(field.one) for v in got.values())
 
 
 def test_pow_negative_monomial():
@@ -319,6 +371,27 @@ def test_divide_exact_rejects_non_multiple(field):
     num = (x * x - y) * q + 1
     with pytest.raises(NotDivisible):
         divide_exact(num, q)
+
+
+def test_divide_exact_inverts_leading_coefficient_once(monkeypatch):
+    x = MultiPoly.var(T2, EXT_I, "x")
+    y = MultiPoly.var(T2, EXT_I, "y")
+    one_plus_t = (Fraction(1), Fraction(1))
+    q = (x * x).scale(one_plus_t) + y.scale(EXT_I.generator) + 3  # leads with (1+t)x^2
+    assert q.leading_term() == ((2, 0), one_plus_t)
+    p = (x * y).scale((Fraction(2, 3), Fraction(-1))) + x ** -1 + y.scale(one_plus_t) + 5
+    num = p * q
+    calls = []
+    inv = QuotientExtension.inv
+
+    def counting_inv(self, a):
+        calls.append(a)
+        return inv(self, a)
+
+    monkeypatch.setattr(QuotientExtension, "inv", counting_inv)
+    for k in (1, 2):
+        assert divide_exact(num, q) == p
+        assert calls == [one_plus_t] * k
 
 
 # -------------------------------------------------------------- substitution
