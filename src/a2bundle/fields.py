@@ -20,18 +20,28 @@ from fractions import Fraction
 from .errors import BadFieldSpec, DivisionByZero, FieldMismatch
 
 
-def _is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3 * 10^24 (fixed base set)."""
+#: Miller-Rabin with the prime bases 2..41 is deterministic below this bound
+#: (Sorenson and Webster, 2015); at or above it no answer is given
+_MR_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for ``n < _MR_BOUND``; raises BadFieldSpec
+    at or above the bound instead of guessing."""
+    if n >= _MR_BOUND:
+        raise BadFieldSpec(
+            f"{n} is too large: primality is only decided below {_MR_BOUND}")
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -128,7 +138,7 @@ class PrimeField(FieldSpec):
     p: int
 
     def __post_init__(self):
-        if not _is_probable_prime(self.p):
+        if not _is_prime(self.p):
             raise BadFieldSpec(f"{self.p} is not prime")
 
     @property

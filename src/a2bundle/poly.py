@@ -21,6 +21,11 @@ through the field's own ``add``/``mul``:
 
 Exact division keeps its remainder in one dictionary and finds each leading
 term by popping a heap.
+
+Substitution never raises an image to a power. A single-term image acts on
+each term's exponents and coefficient directly. The terms are then grouped
+by their exponents on the variables whose images have several terms, and
+the groups are evaluated by Horner's rule, one product per degree.
 """
 
 from __future__ import annotations
@@ -88,11 +93,11 @@ def _term_sort_key(item):
     return (sum(exps), exps)
 
 
-def _accumulate(out, terms, field):
-    """Add ``terms`` into the term dict ``out`` in place, dropping keys whose
-    coefficient cancels."""
+def _accumulate(out, pairs, field):
+    """Add the ``(exponents, coefficient)`` pairs into the term dict ``out``
+    in place, dropping keys whose coefficient cancels."""
     fadd, is_zero = field.add, field.is_zero
-    for e, c in terms.items():
+    for e, c in pairs:
         prior = out.get(e)
         if prior is None:
             out[e] = c
@@ -260,7 +265,7 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
-        _accumulate(out, other.terms, self.field)
+        _accumulate(out, other.terms.items(), self.field)
         return MultiPoly(self.table, self.field, out, _clean=False)
 
     __radd__ = __add__
@@ -500,6 +505,15 @@ def substitute(poly: MultiPoly, images: dict, into: VarTable | None = None,
     occurring with a negative exponent must have an invertible image: a
     single term with unit coefficient — anything else raises
     :class:`NonInvertibleImageForLaurentVariable`.
+
+    Single-term images (constants, variables without an image, Laurent
+    monomials) are exponent maps: a term ``c * v^k`` with ``v -> m * u^d``
+    becomes ``c * m^k * u^(k*d)``, with ``inv(m)`` when ``k < 0``. The mapped
+    terms are grouped by their exponents on the variables with multi-term
+    images; terms colliding in a group add up, and cancel, before any
+    product. The groups are then evaluated by Horner's rule in the first
+    multi-term image ``X``, ``sum C_k X^k = (C_n*X + C_(n-1))*X + ... + C_0``,
+    where each ``C_k`` is evaluated the same way over the remaining images.
     """
     f = field or poly.field
     target = into
@@ -542,24 +556,86 @@ def substitute(poly: MultiPoly, images: dict, into: VarTable | None = None,
                 f"{name!r} occurs with negative exponent but its image has "
                 f"{len(img.terms)} terms")
 
-    power_cache: dict[tuple[str, int], MultiPoly] = {}
+    # monomial images act on a term's exponents and coefficient; the other
+    # images are evaluated by Horner's rule over groups of terms
+    names = poly.table.names
+    one, fmul, is_zero = f.one, f.mul, f.is_zero
+    maps, multi = [], []
+    for i in range(n):
+        if not any(e[i] for e in poly.terms):
+            continue
+        img = img_polys[names[i]]
+        if len(img.terms) == 1:
+            (me, mc), = img.terms.items()
+            moves = [(j, x) for j, x in enumerate(me) if x]
+            maps.append((i, moves, None if mc == one else {1: mc}))
+        else:
+            multi.append((i, img))
 
-    def img_power(name, k):
-        key = (name, k)
-        hit = power_cache.get(key)
-        if hit is None:
-            hit = power_cache[key] = img_polys[name] ** k
-        return hit
-
-    out = {}
-    one_exps = (0,) * len(target)
+    coerce = None if poly.field == f else f.coerce
+    width = len(target)
+    grouped: dict[tuple, list] = {}
     for e, c in poly.terms.items():
-        term = MultiPoly(target, f, {one_exps: f.coerce(c)}, _clean=False)
-        for i, k in enumerate(e):
+        if coerce is not None:
+            c = coerce(c)
+            if is_zero(c):
+                continue
+        exps = [0] * width
+        for i, moves, powers in maps:
+            k = e[i]
             if k:
-                term = term * img_power(poly.table.names[i], k)
-        _accumulate(out, term.terms, f)
-    return MultiPoly(target, f, out, _clean=False)
+                for j, x in moves:
+                    exps[j] += k * x
+                if powers is not None:
+                    ck = powers.get(k)
+                    if ck is None:
+                        ck = powers[k] = _coeff_power(f, powers[1], k)
+                    c = fmul(c, ck)
+        key = tuple(e[i] for i, _ in multi)
+        grouped.setdefault(key, []).append((tuple(exps), c))
+    if not grouped:
+        return MultiPoly.zero(target, f)
+    groups = {}
+    for key, pairs in grouped.items():
+        groups[key] = terms = {}
+        _accumulate(terms, pairs, f)
+    return _horner(groups, [img for _, img in multi], target, f)
+
+
+def _coeff_power(field, c, k):
+    """``c**k`` for a raw nonzero field value and a nonzero integer ``k``."""
+    if k < 0:
+        c, k = field.inv(c), -k
+    out = c
+    for _ in range(k - 1):
+        out = field.mul(out, c)
+    return out
+
+
+def _horner(groups, images, target, field):
+    """Evaluate ``sum over keys of groups[key] * prod(images[i] ** key[i])``.
+
+    ``groups`` maps exponent tuples on ``images`` (never negative) to term
+    dicts over ``target``. The first image is the Horner variable: the
+    coefficient of each of its powers is evaluated recursively over the
+    remaining images, then ``((C_n*X + C_{n-1})*X + ...)*X + C_0`` takes
+    one product by ``X`` per degree.
+    """
+    if not images:
+        return MultiPoly(target, field, groups[()], _clean=False)
+    x, rest = images[0], images[1:]
+    by_degree: dict[int, dict] = {}
+    for key, terms in groups.items():
+        by_degree.setdefault(key[0], {})[key[1:]] = terms
+    acc = None
+    for k in range(max(by_degree), -1, -1):
+        if acc is not None:
+            acc = acc * x
+        sub = by_degree.get(k)
+        if sub is not None:
+            ck = _horner(sub, rest, target, field)
+            acc = ck if acc is None else acc + ck
+    return acc
 
 
 def divide_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:

@@ -118,6 +118,16 @@ def test_verify_all(capsys):
     assert ids.index("thm12") > ids.index("prop22")
 
 
+def test_verify_all_over_cubic_extension(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--field", "ext:t^3-2",
+                       "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["field"] == "ext:t^3-2"
+    assert len(doc["checks"]) == 40
+    assert all(c["status"] == "pass" for c in doc["checks"])
+
+
 def test_verify_all_rejects_parameters(capsys):
     code, _, err = run(capsys, "verify", "all", "--n", "2")
     assert code == 2
@@ -320,6 +330,14 @@ def test_bad_field_descriptor(capsys):
     code, _, err = run(capsys, "verify", "ex24", "--field", "fp:6")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("p", ["318665857834031151167461",
+                               "3317044064679887385961981"])
+def test_composite_modulus_is_usage_error(capsys, p):
+    code, out, err = run(capsys, "verify", "ex35", "--field", f"fp:{p}")
+    assert code == 2
+    assert "error:" in err and "[pass]" not in out
 
 
 def test_module_entry_point():

@@ -33,6 +33,18 @@ def test_prime_field_requires_prime():
     PrimeField(101)
 
 
+def test_prime_field_rejects_strong_pseudoprimes():
+    # 399165290221 * 798330580441: a strong pseudoprime to every prime base
+    # up to 37, caught by base 41
+    with pytest.raises(BadFieldSpec, match="not prime"):
+        PrimeField(318665857834031151167461)
+    # 1287836182261 * 2575672364521: a strong pseudoprime to every prime base
+    # up to 41, and the bound below which those bases decide primality
+    with pytest.raises(BadFieldSpec, match="too large"):
+        PrimeField(3317044064679887385961981)
+    PrimeField(3317044064679887385961813)
+
+
 def test_prime_field_residues():
     a = F11.elem(7)
     b = F11.elem(8)

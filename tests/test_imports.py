@@ -1,10 +1,12 @@
-"""Every name a library module imports from the package is read somewhere in it.
+"""Every name a library module imports is read somewhere in it.
 
 A stdlib ``ast`` scan standing in for a linter: for each module of
 ``src/a2bundle`` it collects the names bound by relative imports
-(``from .x import y``) and fails on any that the module never reads. Names
-used only inside quoted annotations count as read. ``__init__.py`` is skipped:
-its imports are the package's re-exports.
+(``from .x import y``, also inside functions) and by every module-level
+import (``import x``, ``from x import y``), and fails on any that the module
+never reads. Names used only inside quoted annotations count as read.
+``from __future__`` imports bind nothing to read. ``__init__.py`` is
+skipped: its imports are the package's re-exports.
 """
 
 import ast
@@ -37,17 +39,31 @@ def _names_read(tree):
     return read
 
 
-def _relative_imports(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level > 0:
+def _bound_names(imports):
+    for node in imports:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif node.module != "__future__":
             for alias in node.names:
                 yield alias.asname or alias.name, node.lineno
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
-def test_no_unused_relative_imports(path):
+def _assert_all_read(path, select):
     tree = ast.parse(path.read_text(), filename=str(path))
     read = _names_read(tree)
-    unused = [f"{name} (line {line})" for name, line in _relative_imports(tree)
-              if name not in read]
+    unused = [f"{name} (line {line})"
+              for name, line in _bound_names(select(tree)) if name not in read]
     assert not unused, f"{path.name} imports but never reads: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_relative_imports(path):
+    _assert_all_read(path, lambda tree: [
+        n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level > 0])
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_module_level_imports(path):
+    _assert_all_read(path, lambda tree: [
+        n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))])

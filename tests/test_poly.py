@@ -121,9 +121,13 @@ f11_coeffs = st.integers(0, 10)
 ext_coeffs = st.tuples(coeffs, coeffs)
 
 
+def polys_over(table, field, cs, exps, **kw):
+    return st.dictionaries(exps, cs, **kw).map(
+        lambda d: MultiPoly(table, field, {e: field.coerce(c) for e, c in d.items()}))
+
+
 def laurent_polys(field, cs, **kw):
-    return st.dictionaries(exps2, cs, **kw).map(
-        lambda d: MultiPoly(T2, field, {e: field.coerce(c) for e, c in d.items()}))
+    return polys_over(T2, field, cs, exps2, **kw)
 
 
 def generic_product(p, q):
@@ -436,6 +440,123 @@ def test_substitute_matches_sympy(p, img_x, img_y):
         [(X, to_sympy(img_x, (X, Y))), (Y, to_sympy(img_y, (X, Y)))],
         simultaneous=True)
     assert sympy.expand(to_sympy(got, (X, Y)) - want) == 0
+
+
+def naive_substitute(poly, images, into=None, field=None):
+    """Term-by-term substitution, as an oracle: each term becomes its
+    coefficient times a power of every image, and the terms are summed."""
+    f = field or poly.field
+    target = into or next((v.table for v in images.values()
+                           if isinstance(v, MultiPoly)), poly.table)
+
+    def image(name):
+        if name not in images:
+            return MultiPoly.var(target, f, name)
+        v = images[name]
+        return v if isinstance(v, MultiPoly) else MultiPoly.const(target, f, v)
+
+    out = MultiPoly.zero(target, f)
+    for e, c in poly.terms.items():
+        term = MultiPoly.const(target, f, f.coerce(c))
+        for name, k in zip(poly.table.names, e):
+            if k:
+                term = term * image(name) ** k
+        out = out + term
+    return out.terms
+
+
+T4 = VarTable(("a", "b", "x", "y"), laurent=("a", "b"))
+FIELDS = [(QQ, coeffs), (F11, f11_coeffs), (EXT_I, ext_coeffs)]
+FIELD_IDS = ["q", "fp:11", "ext:t^2+1"]
+laurent3 = st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 3))
+nn3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+small4 = st.tuples(*[st.integers(-2, 2)] * 4)
+
+
+def nonzero(field, cs):
+    return cs.filter(lambda c: not field.is_zero(field.coerce(c)))
+
+
+@pytest.mark.parametrize("field, cs", FIELDS, ids=FIELD_IDS)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_substitute_matches_naive_laurent_monomials(field, cs, data):
+    # a and b occur inverted, so their images are Laurent monomials with
+    # any nonzero coefficient; x gets any image, the zero image included
+    p = data.draw(polys_over(T3, field, cs, laurent3, max_size=8))
+    small3 = st.tuples(*[st.integers(-2, 2)] * 3)
+    images = {"a": data.draw(polys_over(T3, field, nonzero(field, cs), small3,
+                                        min_size=1, max_size=1)),
+              "x": data.draw(polys_over(T3, field, cs, small3, max_size=5))}
+    kind = data.draw(st.sampled_from(["identity", "constant", "monomial"]))
+    if kind == "constant":
+        images["b"] = data.draw(nonzero(field, cs))
+    elif kind == "monomial":
+        images["b"] = data.draw(polys_over(T3, field, nonzero(field, cs), small3,
+                                           min_size=1, max_size=1))
+    assert substitute(p, images).terms == naive_substitute(p, images)
+
+
+@pytest.mark.parametrize("field, cs", FIELDS, ids=FIELD_IDS)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_substitute_matches_naive_multi_term_images(field, cs, data):
+    # up to three multi-term images into a wider table; variables left out
+    # keep their names there
+    p = data.draw(polys_over(T3, field, cs, nn3, max_size=8))
+    names = data.draw(st.sets(st.sampled_from(T3.names)))
+    images = {n: data.draw(polys_over(T4, field, cs, small4, max_size=4))
+              for n in sorted(names)}
+    assert substitute(p, images, into=T4).terms == naive_substitute(p, images, into=T4)
+
+
+@pytest.mark.parametrize("field, cs", FIELDS[1:], ids=FIELD_IDS[1:])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_substitute_matches_naive_into_another_field(field, cs, data):
+    # rational coefficients are carried into the target field; over F_11
+    # some of them vanish there
+    q_coeffs = st.fractions(min_value=-30, max_value=30, max_denominator=10)
+    p = data.draw(polys_over(T2, QQ, q_coeffs, nn_exps2, max_size=8))
+    images = {"y": data.draw(polys_over(T4, field, cs, small4, max_size=4))}
+    got = substitute(p, images, into=T4, field=field)
+    assert got.field == field
+    assert got.terms == naive_substitute(p, images, into=T4, field=field)
+
+
+def test_substitute_cancels_after_exponent_map():
+    x = MultiPoly.var(T3, QQ, "x")
+    a = MultiPoly.var(T3, QQ, "a")
+    b = MultiPoly.var(T3, QQ, "b")
+    swap = {"a": b, "b": -b}
+    assert substitute(a + b, swap).is_zero()
+    # the cancelling terms share a power of x, whose image has two terms
+    images = dict(swap, x=x + 1)
+    p = (a + b) * x ** 2 + a * x
+    assert substitute(p, images).terms == naive_substitute(p, images)
+    assert substitute(p, images) == b * (x + 1)
+
+
+def test_substitute_multiplies_once_per_degree(monkeypatch):
+    x = MultiPoly.var(T2, QQ, "x")
+    y = MultiPoly.var(T2, QQ, "y")
+    p = sum((x ** k for k in range(9)), MultiPoly.zero(T2, QQ))
+    want = naive_substitute(p, {"x": x + y})
+    counts = {"__pow__": 0, "_mul_dict": 0}
+
+    def counting(name):
+        inner = getattr(MultiPoly, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(MultiPoly, name, counting(name))
+    assert substitute(p, {"x": x + y}).terms == want
+    assert counts["__pow__"] == 0
+    assert counts["_mul_dict"] <= 8
 
 
 # -------------------------------------------------- congruences and filters
