@@ -406,11 +406,12 @@ def _descend(P: MultiPoly, b: CheckBuilder) -> BivariableCert:
     b.expect("shift-square-mod-a^4",
              congruent_mod_power(delta * delta, MultiPoly.zero(GLUE, F),
                                  "a", 4, ambient=RING_B))
-    f_b = a ** 3 * to_glue(cert.f.f)
-    fhat_b = a ** 3 * to_glue(hat.f.f)
+    # certify proved f(omega) == tau_a - tau_b for both certificates, so
+    # f_b(omega) = a^3*(tau_a - tau_b) is already in hand
+    a3 = a ** 3
     b.expect("pullback-congruence-mod-a^3",
-             congruent_mod_power(substitute(fhat_b, {"x": hat.omega}),
-                                 substitute(f_b, {"x": cert.omega}),
+             congruent_mod_power(a3 * (hat.tau_a - hat.tau_b),
+                                 a3 * (cert.tau_a - cert.tau_b),
                                  "a", 3, ambient=RING_B))
 
     from .bundles import a1_equiv  # late import; bundles uses this module

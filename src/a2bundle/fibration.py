@@ -317,13 +317,17 @@ def verify_bundle_identity(spec: FibrationSpec, m: int | None = None
     v = build_v(spec)
     omega = build_omega(spec)
     R = _u_image(spec)
+    v_pow = [MultiPoly.const(CHART, F, 1), v]  # v^0 .. v^K, built once
+    for _ in range(K - 1):
+        v_pow.append(v_pow[-1] * v)
+    omega_m = omega ** m
 
     # (i) omega is recoverable from v
     b.expect_zero("v-minus-y-over-x^n-is-omega",
                   divide_exact(v - y, x ** spec.n) - omega)
 
     # (ii) the numerator G vanishes at x = 0, so W = G/x is a polynomial
-    G = u * v ** 2 * y + v ** 2 * spec.p_at(z) - omega * y
+    G = u * v_pow[2] * y + v_pow[2] * spec.p_at(z) - omega * y
     b.expect_zero("numerator-at-x=0", G.set_vars_to_zero(("x",)))
     W = divide_exact(G, x)
 
@@ -337,19 +341,19 @@ def verify_bundle_identity(spec: FibrationSpec, m: int | None = None
     b_exps = f.exponents_in("b")
     b.expect("pole-orders-within-range",
              all(-K <= e <= -1 for e in b_exps), detail=str(b_exps))
-    lhs = x * y * R * v ** K
+    lhs = x * y * R * v_pow[K]
     for j in range(1, K + 1):
         nj = f.coefficient_in("b", -j)
         if not nj:
             continue
         nj_chart = substitute(nj, {"a": x, "x": omega}, into=CHART, field=F)
-        lhs = lhs - x * y * nj_chart * v ** (K - j)
-    rhs = G * v ** (K - 2) - x ** (m * spec.n) * omega ** m \
-        * p_omega_x * v ** (K - m)
+        lhs = lhs - x * y * nj_chart * v_pow[K - j]
+    rhs = G * v_pow[K - 2] - x ** (m * spec.n) * omega_m \
+        * p_omega_x * v_pow[K - m]
     b.expect_zero("cleared-glueing-identity", lhs - rhs)
 
     # the leftover term is exactly divisible by y and fully polynomial
-    M = divide_exact(W * v ** (K - 2) - omega ** m * H * v ** (K - m), y)
+    M = divide_exact(W * v_pow[K - 2] - omega_m * H * v_pow[K - m], y)
     b.expect("remainder-is-polynomial", poly_ring.contains(M))
 
     b.witness(m=m, K=K, transition=f)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import BadFieldSpec, DivisionByZero, FieldMismatch
 
@@ -214,10 +215,8 @@ def _rational_roots_exist(coeffs: tuple[Fraction, ...]) -> bool:
     """
     if coeffs[0] == 0:
         return True  # root at 0
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
+    den = lcm(*[c.denominator for c in coeffs])
+    ints = [int(c * den) for c in coeffs]
     a0, an = abs(ints[0]), abs(ints[-1])
 
     def divisors(n):
@@ -241,10 +240,21 @@ def _rational_roots_exist(coeffs: tuple[Fraction, ...]) -> bool:
     return False
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _power_rows(minpoly, top):
+    """``(den, rows)``: t^d, ..., t^top modulo the monic ``minpoly`` of degree
+    d, each as the nonzero ``(i, int)`` components of ``den`` times its
+    residue, over one common denominator ``den``."""
+    d = len(minpoly) - 1
+    row = [-c for c in minpoly[:d]]  # t^d
+    fracs = []
+    for _ in range(d, top + 1):
+        fracs.append(row)
+        row = [Fraction(0)] + row[:-1]
+        lead = fracs[-1][-1]
+        row = [x - lead * c for x, c in zip(row, minpoly)]
+    den = lcm(*[x.denominator for r in fracs for x in r])
+    return den, [[(i, int(x * den)) for i, x in enumerate(r) if x]
+                 for r in fracs]
 
 
 @dataclass(frozen=True)
@@ -274,18 +284,10 @@ class QuotientExtension(FieldSpec):
         if _rational_roots_exist(coeffs):
             raise BadFieldSpec("minimal polynomial is reducible over Q (rational root)")
         object.__setattr__(self, "minpoly", coeffs)
-
-    @property
-    def degree(self):
-        return len(self.minpoly) - 1
-
-    @property
-    def zero(self):
-        return (Fraction(0),) * self.degree
-
-    @property
-    def one(self):
-        return (Fraction(1),) + (Fraction(0),) * (self.degree - 1)
+        object.__setattr__(self, "degree", deg)
+        object.__setattr__(self, "zero", (Fraction(0),) * deg)
+        object.__setattr__(self, "one", (Fraction(1),) + self.zero[1:])
+        object.__setattr__(self, "_rows", _power_rows(coeffs, 2 * deg - 2))
 
     @property
     def generator(self):
@@ -300,31 +302,44 @@ class QuotientExtension(FieldSpec):
                 raise FieldMismatch(f"cannot coerce element of {value.spec} into {self}")
             return value.value
         if isinstance(value, (int, Fraction)):
-            return (Fraction(value),) + (Fraction(0),) * (self.degree - 1)
+            return (Fraction(value),) + self.zero[1:]
         if isinstance(value, tuple):
-            if len(value) > self.degree:
-                value = self._reduce(list(value))
-            vals = tuple(Fraction(c) for c in value)
-            return vals + (Fraction(0),) * (self.degree - len(vals))
+            vals = [Fraction(c) for c in value]
+            if len(vals) > self.degree:
+                return self._reduce(vals)
+            return tuple(vals) + self.zero[len(vals):]
         raise FieldMismatch(f"cannot interpret {value!r} as an element of {self}")
 
     def from_fraction(self, q: Fraction):
-        return (q,) + (Fraction(0),) * (self.degree - 1)
+        return (q,) + self.zero[1:]
+
+    def _from_ints(self, v, den):
+        """The element ``sum(v[i] * t^i) / den`` for an integer vector ``v`` of
+        any length: one integer pass against the rows of t^d, t^(d+1), ...
+        mod m, then one ``Fraction`` per nonzero component. A zero result is
+        the ``zero`` constant itself."""
+        d, zero = self.degree, self.zero
+        out = list(v[:d]) + [0] * (d - len(v))
+        if len(v) > d:
+            scale, rows = (self._rows if len(v) < 2 * d
+                           else _power_rows(self.minpoly, len(v) - 1))
+            if scale != 1:
+                out = [x * scale for x in out]
+                den *= scale
+            for c, row in zip(v[d:], rows):
+                if c:
+                    for i, r in row:
+                        out[i] += c * r
+        if not any(out):
+            return zero
+        return tuple([Fraction(x, den) if x else zero[0] for x in out])
 
     def _reduce(self, coeffs):
-        """Reduce a list of coefficients (any length) modulo the minpoly."""
-        d = self.degree
-        m = self.minpoly
-        coeffs = list(coeffs) + [Fraction(0)] * max(0, d - len(coeffs))
-        for k in range(len(coeffs) - 1, d - 1, -1):
-            c = coeffs[k]
-            if c == 0:
-                continue
-            coeffs[k] = Fraction(0)
-            # t^k = t^(k-d) * (-(m_0 + m_1 t + ... + m_{d-1} t^{d-1}))
-            for i in range(d):
-                coeffs[k - d + i] -= c * m[i]
-        return tuple(coeffs[:d])
+        """Reduce a list of rational coefficients (any length) modulo the
+        minpoly."""
+        den = lcm(*[c.denominator for c in coeffs])
+        return self._from_ints(
+            [c.numerator * (den // c.denominator) for c in coeffs], den)
 
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
@@ -336,15 +351,16 @@ class QuotientExtension(FieldSpec):
         return tuple(-x for x in a)
 
     def mul(self, a, b):
-        d = self.degree
-        prod = [Fraction(0)] * (2 * d - 1)
+        da = lcm(*[x.denominator for x in a])
+        db = lcm(*[y.denominator for y in b])
+        w = [y.numerator * (db // y.denominator) for y in b]
+        prod = [0] * (2 * self.degree - 1)
         for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y != 0:
+            if x:
+                x = x.numerator * (da // x.denominator)
+                for j, y in enumerate(w):
                     prod[i + j] += x * y
-        return self._reduce(prod)
+        return self._from_ints(prod, da * db)
 
     def is_zero(self, a):
         return all(c == 0 for c in a)

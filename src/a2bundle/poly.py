@@ -16,8 +16,10 @@ through the field's own ``add``/``mul``:
 * over F_p, residues are accumulated as plain ints and reduced mod p once
   per output term;
 * over Q[t]/(m), coefficient tuples are lifted to integer vectors over a
-  common denominator per operand and convolved in Z[t]; each output term
-  is divided by the denominators and reduced modulo m once.
+  common denominator per operand and convolved in Z[t]; each output
+  vector is reduced modulo m in integers, against rows of t^d, t^(d+1), ...
+  precomputed once per field, and only then divided by the denominators,
+  one ``Fraction`` per component.
 
 Exact division keeps its remainder in one dictionary and finds each leading
 term by popping a heap.
@@ -93,14 +95,14 @@ def _term_sort_key(item):
     return (sum(exps), exps)
 
 
-def _accumulate(out, pairs, field):
-    """Add the ``(exponents, coefficient)`` pairs into the term dict ``out``
-    in place, dropping keys whose coefficient cancels."""
-    fadd, is_zero = field.add, field.is_zero
+def _accumulate(out, pairs, field, subtract=False):
+    """Add (or subtract) the ``(exponents, coefficient)`` pairs into the term
+    dict ``out`` in place, dropping keys whose coefficient cancels."""
+    fadd, fneg, is_zero = field.sub if subtract else field.add, field.neg, field.is_zero
     for e, c in pairs:
         prior = out.get(e)
         if prior is None:
-            out[e] = c
+            out[e] = fneg(c) if subtract else c
         else:
             nc = fadd(prior, c)
             if is_zero(nc):
@@ -237,10 +239,6 @@ class MultiPoly:
     def is_zero(self):
         return not self.terms
 
-    def is_constant(self):
-        return not self.terms or (len(self.terms) == 1
-                                  and not any(next(iter(self.terms))))
-
     def constant_value(self):
         """Raw coefficient of the constant term (0 if absent)."""
         return self.terms.get((0,) * len(self.table), self.field.zero)
@@ -260,12 +258,12 @@ class MultiPoly:
 
     # ------------------------------------------------------------ arithmetic
 
-    def __add__(self, other):
+    def __add__(self, other, subtract=False):
         other = self._coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
-        _accumulate(out, other.terms.items(), self.field)
+        _accumulate(out, other.terms.items(), self.field, subtract)
         return MultiPoly(self.table, self.field, out, _clean=False)
 
     __radd__ = __add__
@@ -276,10 +274,7 @@ class MultiPoly:
                          {e: fneg(c) for e, c in self.terms.items()}, _clean=False)
 
     def __sub__(self, other):
-        other = self._coerce_operand(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, subtract=True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -326,9 +321,9 @@ class MultiPoly:
             ai, da = _lift_vectors(a)
             bi, db = _lift_vectors(b)
             out = _convolve_vectors(ai, bi, 2 * f.degree - 1)
-            den, reduce = da * db, f._reduce
+            den, from_ints, zero = da * db, f._from_ints, f.zero
             terms = {e: r for e, v in out.items()
-                     if any(r := reduce([Fraction(x, den) for x in v]))}
+                     if (r := from_ints(v, den)) is not zero}
         return MultiPoly(self.table, f, terms, _clean=False)
 
     def __pow__(self, n: int):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -307,6 +308,35 @@ def test_quadratic_descent_rejects_char_two():
 def test_quadratic_descent_rejects_wrong_degree():
     with pytest.raises(PreconditionViolated, match="deg P == 2"):
         lemma44_bivariable(zpoly("z^3"))
+
+
+@pytest.mark.parametrize("descriptor", ["q", "fp:11", "ext:t^2+1"])
+@pytest.mark.parametrize("p_text", ["z^2", "3*z^2 + z"])
+def test_descent_pullbacks_are_chart_differences(descriptor, p_text):
+    # the congruence reuses a^3*(tau_a - tau_b) for f_b(omega) = a^3*f(omega)
+    F = field_from_descriptor(descriptor)
+    P = zpoly(p_text, F)
+    a3 = gpoly("a^3", F)
+    for cert in (p_shift_bivariable(P), lemma44_bivariable(P)):
+        pulled = substitute(a3 * to_glue(cert.f.f), {"x": cert.omega})
+        assert a3 * (cert.tau_a - cert.tau_b) == pulled
+
+
+@pytest.mark.parametrize("shift, verdict", [
+    ("a^-1*x", "failed"),
+    # a^3 * a^2*x lies in (a^3), so this change is within the congruence
+    ("a^2*x", "ok"),
+])
+def test_descent_pullback_congruence_sees_tau_a(monkeypatch, shift, verdict):
+    def mutated(*args, **kw):
+        hat = extend_a(*args, **kw)
+        return dataclasses.replace(
+            hat, tau_a=hat.tau_a + gpoly(shift, hat.field))
+
+    monkeypatch.setattr(bivariable, "extend_a", mutated)
+    res = verify_quadratic_descent("z^2")
+    assert res.residuals["pullback-congruence-mod-a^3"] == verdict
+    assert res.status == ("fail" if verdict == "failed" else "pass")
 
 
 # ------------------------------------------------------------- serialization

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from a2bundle.errors import BadFieldSpec, DivisionByZero, FieldMismatch
 from a2bundle.fields import (
@@ -146,3 +146,94 @@ def test_f11_axioms(a, b, c):
     assert (A * (B + C)).value == (A * B + A * C).value
     if not B.is_zero():
         assert ((A / B) * B).value == A.value
+
+
+# ------------------------------------------- integer reduction in Q[t]/(m)
+
+
+def fraction_reduce(field, coeffs):
+    """The Fraction-by-Fraction reduction modulo the minpoly, top degree
+    first, as an oracle for the integer reduction."""
+    d, m = field.degree, field.minpoly
+    coeffs = list(coeffs) + [Fraction(0)] * max(0, d - len(coeffs))
+    for k in range(len(coeffs) - 1, d - 1, -1):
+        c = coeffs[k]
+        if c == 0:
+            continue
+        coeffs[k] = Fraction(0)
+        for i in range(d):
+            coeffs[k - d + i] -= c * m[i]
+    return tuple(coeffs[:d])
+
+
+def fraction_mul(field, a, b):
+    prod = [Fraction(0)] * (2 * field.degree - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return fraction_reduce(field, prod)
+
+
+EXTS = [QuotientExtension((Fraction(1), Fraction(0), Fraction(1))),
+        QuotientExtension((Fraction(-2), Fraction(0), Fraction(0), Fraction(1))),
+        EXT]
+EXT_IDS = ["ext:t^2+1", "ext:t^3-2", "ext:5t^2-1"]
+# mixed denominators, with zero components common enough to matter
+components = st.one_of(st.just(Fraction(0)), small_rats)
+
+
+def assert_element(field, got, want):
+    assert got == want
+    assert len(got) == field.degree
+    assert all(type(c) is Fraction for c in got)
+
+
+def test_reduction_rows_share_one_denominator():
+    den, rows = EXTS[0]._rows
+    assert den == 1 and rows == [[(0, -1)]]  # t^2 = -1
+    den, rows = EXTS[1]._rows
+    assert den == 1 and rows == [[(0, 2)], [(1, 2)]]  # t^3 = 2, t^4 = 2t
+    den, rows = EXT._rows
+    assert den == 5 and rows == [[(0, 1)]]  # t^2 = 1/5
+
+
+@pytest.mark.parametrize("field", EXTS, ids=EXT_IDS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_integer_reduction_matches_fraction_oracle(field, data):
+    d = field.degree
+    v = data.draw(st.lists(components, min_size=1, max_size=2 * d - 1))
+    want = fraction_reduce(field, v)
+    assert_element(field, field._reduce(v), want)
+    ints = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=1,
+                              max_size=2 * d - 1))
+    den = data.draw(st.integers(1, 60))
+    assert_element(field, field._from_ints(ints, den),
+                   fraction_reduce(field, [Fraction(x, den) for x in ints]))
+    if len(v) > d:
+        assert_element(field, field.coerce(tuple(v)), want)
+
+
+@pytest.mark.parametrize("field", EXTS, ids=EXT_IDS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_integer_mul_matches_fraction_oracle(field, data):
+    elems = st.lists(components, min_size=field.degree, max_size=field.degree)
+    a, b = tuple(data.draw(elems)), tuple(data.draw(elems))
+    assert_element(field, field.mul(a, b), fraction_mul(field, a, b))
+
+
+@pytest.mark.parametrize("field", EXTS, ids=EXT_IDS)
+def test_reduction_of_long_tuples(field):
+    # longer than 2d - 1, beyond the precomputed rows
+    v = tuple(Fraction(k + 1, k + 2) for k in range(3 * field.degree))
+    assert_element(field, field.coerce(v), fraction_reduce(field, v))
+    assert field._from_ints([0] * (2 * field.degree - 1), 3) is field.zero
+
+
+@pytest.mark.parametrize("field", EXTS, ids=EXT_IDS)
+def test_one_and_zero_are_constants(field):
+    assert field.one is field.one
+    assert field.zero is field.zero
+    assert field.one == (Fraction(1),) + (Fraction(0),) * (field.degree - 1)
+    assert field.zero == (Fraction(0),) * field.degree

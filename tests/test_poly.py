@@ -267,6 +267,24 @@ def test_freshmans_dream_in_f11():
     assert lhs == x ** 11 + y ** 11
 
 
+@pytest.mark.parametrize("field", [QQ, F11, EXT_I], ids=["q", "fp:11", "ext:t^2+1"])
+def test_sub_matches_add_of_negation(field):
+    c = (lambda k: field.coerce((Fraction(k, 3), Fraction(1 - k))
+                                if field is EXT_I else k))
+    # Laurent in a and b; the (0, 1, 1) and (-1, 2, 0) terms cancel
+    p = MultiPoly(T3, field, {(1, 0, 2): c(2), (0, 1, 1): c(5),
+                              (-1, 2, 0): c(4), (0, -3, 0): c(7)})
+    q = MultiPoly(T3, field, {(0, 1, 1): c(5), (2, 2, 2): c(3),
+                              (-1, 2, 0): c(4), (0, 0, 0): c(1)})
+    for u, v in ((p, q), (q, p), (p, p), (p, MultiPoly.zero(T3, field))):
+        got, want = (u - v).terms, (u + (-v)).terms
+        assert got == want
+        assert list(got) == list(want)
+        assert [type(x) for x in got.values()] == [type(x) for x in want.values()]
+    assert (p - p).terms == {}
+    assert set((p - q).terms) == {(1, 0, 2), (0, -3, 0), (2, 2, 2), (0, 0, 0)}
+
+
 def test_extension_coeff_arithmetic():
     ext = QuotientExtension((Fraction(-1), Fraction(0), Fraction(5)))  # 5t^2 = 1
     x = MultiPoly.var(T2, ext, "x")
