@@ -121,10 +121,10 @@ def _normalise_jacobian(word, flat, chart_var, side):
     """
     table, F = flat.table, flat.field
     one = MultiPoly.const(table, F, 1)
-    jac = flat.jac if flat.jac is not None else flat.jacobian_det()
+    jac = flat.jac
     if jac == one:
         return word, flat
-    if jac is None or not jac.is_monomial():
+    if not jac.is_monomial():
         raise JacobianNotUnit(
             f"{side} word has non-monomial jacobian {jac}")
     (exps,) = jac.terms
@@ -133,13 +133,12 @@ def _normalise_jacobian(word, flat, chart_var, side):
             raise JacobianNotUnit(
                 f"{side} word has jacobian {jac}, not a unit of the "
                 f"{chart_var}-chart")
-    word = word + (Scale("y", jac ** -1),)
-    flat = flatten(word, table, F, BASE)
-    refreshed = flat.jac if flat.jac is not None else flat.jacobian_det()
-    if refreshed != one:
+    scale = (Scale("y", jac ** -1),)
+    flat = flatten(scale, table, F, BASE, start=flat)
+    if flat.jac != one:
         raise JacobianNotUnit(
-            f"{side} word jacobian did not normalise: {refreshed}")
-    return word, flat
+            f"{side} word jacobian did not normalise: {flat.jac}")
+    return word + scale, flat
 
 
 def certify(omega: MultiPoly, alpha_word, beta_word) -> BivariableCert:

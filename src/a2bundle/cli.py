@@ -120,8 +120,7 @@ def _run_verify_id(check_id: str, args, field) -> list:
             rungs = [(args.n or 1, args.m or 1)]
         else:
             rungs = LADDER_RUNGS
-        return [verify_geometric_ladder(p, n=n, m=m, field=field)
-                for n, m in rungs]
+        return verify_geometric_ladder(p, rungs, field)
     if check_id == "lemma61":
         return verify_hypersurface_samples(field=field)
     if check_id == "prop63":

@@ -169,7 +169,8 @@ def verify_coordinate_facts(spec: FibrationSpec) -> CheckResult:
     b.expect_zero("jacobian-chain-minus-1", flat.jac - 1)
     b.expect_zero("jacobian-matrix-minus-1", flat.jacobian_det() - 1)
     b.expect("word-times-inverse-is-identity",
-             flatten(word + invert(word), CHART, F, base=("x",)).is_identity())
+             flatten(invert(word), CHART, F, base=("x",),
+                     start=flat).is_identity())
 
     poly_ring = RingDescriptor.polynomials(CHART)
     b.expect("v-is-polynomial", poly_ring.contains(v))
@@ -415,20 +416,23 @@ def verify_small_m_shapes() -> CheckResult:
 def stable_variable(spec: FibrationSpec, s_max: int = 12):
     """Search s = 1..s_max for the smallest exponent such that conjugating
     the shift ``y += x^s*t`` by the coordinate word gives a *polynomial*
-    automorphism of 5-space.  Returns ``(s, word)``; raises
-    :class:`NoPolynomialSInRange` when the scan is exhausted.
+    automorphism of 5-space.  The coordinate word is flattened once and
+    each candidate continues from it.  Returns ``(s, word, flat)`` with
+    ``flat`` the flattened ``word``; raises :class:`NoPolynomialSInRange`
+    when the scan is exhausted.
     """
     F = spec.field
     phi_w = build_phi_word(spec, CHART_EXT)
+    phi = flatten(phi_w, CHART_EXT, F, base=("x",))
     phi_inv = invert(phi_w)
     ring = RingDescriptor.polynomials(CHART_EXT)
     x = MultiPoly.var(CHART_EXT, F, "x")
     t = MultiPoly.var(CHART_EXT, F, "t")
     for s in range(1, s_max + 1):
-        word = phi_w + (Triangular("y", x ** s * t),) + phi_inv
-        flat = flatten(word, CHART_EXT, F, base=("x",))
+        tail = (Triangular("y", x ** s * t),) + phi_inv
+        flat = flatten(tail, CHART_EXT, F, base=("x",), start=phi)
         if all(ring.contains(c) for c in flat.comps.values()):
-            return s, word
+            return s, phi_w + tail, flat
     raise NoPolynomialSInRange(
         f"no polynomial conjugate for s = 1..{s_max}")
 
@@ -439,8 +443,7 @@ def verify_stable_variable(spec: FibrationSpec, s_max: int = 12) -> CheckResult:
     exactly x^s*t.  Check id: ``prop22``."""
     b = CheckBuilder("prop22", P=spec.P, n=spec.n, s_max=s_max)
     F = spec.field
-    s, word = stable_variable(spec, s_max)
-    flat = flatten(word, CHART_EXT, F, base=("x",))
+    s, word, flat = stable_variable(spec, s_max)
     ring = RingDescriptor.polynomials(CHART_EXT)
     bad = [(name, c) for name, c in flat.comps.items() if not ring.contains(c)]
     b.expect("components-polynomial", not bad,
@@ -452,7 +455,7 @@ def verify_stable_variable(spec: FibrationSpec, s_max: int = 12) -> CheckResult:
     b.expect_zero("v-moves-by-x^s*t",
                   substitute(v, flat.comps) - (v + x ** s * t))
     b.expect("roundtrip-is-identity",
-             flatten(word + invert(word), CHART_EXT, F,
-                     base=("x",)).is_identity())
+             flatten(invert(word), CHART_EXT, F, base=("x",),
+                     start=flat).is_identity())
     b.witness(s=s)
     return b.done()

@@ -61,12 +61,6 @@ class FieldSpec:
     def elem(self, value) -> "FieldElem":
         return FieldElem(self, self.coerce(value))
 
-    def zero_elem(self) -> "FieldElem":
-        return FieldElem(self, self.zero)
-
-    def one_elem(self) -> "FieldElem":
-        return FieldElem(self, self.one)
-
     # concrete specs implement: zero, one, characteristic, coerce, add, sub,
     # mul, neg, inv, div, is_zero, to_str, coeff_str, descriptor
 
@@ -363,7 +357,7 @@ class QuotientExtension(FieldSpec):
         return self._from_ints(prod, da * db)
 
     def is_zero(self, a):
-        return all(c == 0 for c in a)
+        return not any(a)
 
     def inv(self, a):
         """Extended Euclid in Q[t] against the minimal polynomial."""

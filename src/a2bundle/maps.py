@@ -6,6 +6,8 @@ generator acts first.  Flattening a word folds it into a :class:`PolyMap`
 determinant along the way via the chain rule, so the unit-Jacobian checks
 never need the flattened components differentiated from scratch (though
 :meth:`PolyMap.jacobian_det` can still do exactly that as a cross-check).
+:func:`flatten` is the only way maps are composed: passing a map already in
+hand as ``start`` continues its fold, so a word's prefix is never replayed.
 
 Generators:
 
@@ -271,37 +273,22 @@ class PolyMap:
     """A polynomial point map: one image per variable, base variables fixed.
 
     ``comps`` maps every variable name to its image polynomial (base
-    variables map to themselves).  ``jac`` carries the Jacobian determinant
-    accumulated during flattening, when known.
+    variables map to themselves).  ``jac`` is the Jacobian determinant over
+    the moved variables, as accumulated by :func:`flatten`.
     """
 
     __slots__ = ("table", "field", "base", "comps", "jac")
 
-    def __init__(self, table: VarTable, field, base=(), comps=None, jac=None):
+    def __init__(self, table: VarTable, field, base, comps, jac):
         self.table = table
         self.field = field
         self.base = tuple(base)
-        if comps is None:
-            comps = {}
-        full = {}
-        for name in table.names:
-            if name in comps:
-                full[name] = comps[name]
-            else:
-                full[name] = MultiPoly.var(table, field, name)
-        self.comps = full
+        self.comps = comps
         self.jac = jac
-
-    @classmethod
-    def identity(cls, table, field, base=()):
-        return cls(table, field, base)
 
     @property
     def moved(self):
         return tuple(n for n in self.table.names if n not in self.base)
-
-    def component(self, name: str) -> MultiPoly:
-        return self.comps[name]
 
     def __eq__(self, other):
         return (isinstance(other, PolyMap)
@@ -314,18 +301,6 @@ class PolyMap:
     def is_identity(self) -> bool:
         return all(c == MultiPoly.var(self.table, self.field, n)
                    for n, c in self.comps.items())
-
-    def compose(self, other: "PolyMap") -> "PolyMap":
-        """self after other (``other`` acts first)."""
-        comps = {n: substitute(c, other.comps) for n, c in self.comps.items()}
-        jac = None
-        if self.jac is not None and other.jac is not None:
-            jac = substitute(self.jac, other.comps) * other.jac
-        return PolyMap(self.table, self.field, self.base, comps, jac)
-
-    def pullback(self, p: MultiPoly) -> MultiPoly:
-        """p composed with this map (the ring-morphism direction)."""
-        return substitute(p, self.comps)
 
     def jacobian_det(self) -> MultiPoly:
         """Determinant of the full partial-derivative matrix over the moved
@@ -355,20 +330,28 @@ def _det(rows, table, field):
     return total
 
 
-def flatten(word, table: VarTable, field, base=()) -> PolyMap:
+def flatten(word, table: VarTable, field, base=(), start=None) -> PolyMap:
     """Fold a word of generators (first acts first) into a single PolyMap,
     accumulating the Jacobian determinant by the chain rule.
+
+    ``start`` is a map already in hand: its images and its ``jac`` seed the
+    fold, so ``flatten(w2, ..., start=flatten(w1, ...))`` equals
+    ``flatten(w1 + w2, ...)`` without replaying ``w1``.
 
     The running determinant is carried as an exact numerator/denominator
     pair (scaling by an inverted variable whose image is a sum contributes
     to the denominator) and reduced whenever the division is exact.  If the
     final denominator does not divide out -- which cannot happen for a word
-    that defines a Laurent-ring automorphism -- ``jac`` is left as None and
-    :meth:`PolyMap.jacobian_det` remains available.
+    that defines a Laurent-ring automorphism -- ``jac`` is computed from the
+    partial-derivative matrix instead (:meth:`PolyMap.jacobian_det`).
     """
-    state = {n: MultiPoly.var(table, field, n) for n in table.names}
     one = MultiPoly.const(table, field, 1)
-    jac_num, jac_den = one, one
+    if start is None:
+        state = {n: MultiPoly.var(table, field, n) for n in table.names}
+        jac_num = one
+    else:
+        state, jac_num = dict(start.comps), start.jac
+    jac_den = one
     base = tuple(base)
     for gen in word:
         moved = _moved_names(gen)
@@ -384,14 +367,11 @@ def flatten(word, table: VarTable, field, base=()) -> PolyMap:
             except NotDivisible:
                 pass
         gen.apply(state)
-    if jac_den == one:
-        jac = jac_num
-    else:
-        try:
-            jac = divide_exact(jac_num, jac_den)
-        except NotDivisible:
-            jac = None
-    return PolyMap(table, field, base, state, jac)
+    pm = PolyMap(table, field, base, state, jac_num)
+    # a denominator left here already failed its division in the loop
+    if jac_den != one:
+        pm.jac = pm.jacobian_det()
+    return pm
 
 
 def _moved_names(gen):

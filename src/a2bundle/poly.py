@@ -203,11 +203,6 @@ class MultiPoly:
             return cls.zero(table, field)
         return cls(table, field, {tuple(exps): raw}, _clean=False)
 
-    @classmethod
-    def variables(cls, table, field):
-        """Dict of name -> generator polynomial, for ergonomic construction."""
-        return {n: cls.var(table, field, n) for n in table.names}
-
     # -------------------------------------------------------------- plumbing
 
     def _same_context(self, other: "MultiPoly"):

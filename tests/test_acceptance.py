@@ -213,11 +213,11 @@ def test_c07_congruence_moves(capsys):
 def test_c08_ladder(capsys):
     with criterion(capsys, 8, "one-denominator ladder", budget=20.0):
         for n in (1, 2, 3):
-            res = verify_geometric_ladder("z^2", n=n, m=1)
+            (res,) = verify_geometric_ladder("z^2", [(n, 1)])
             assert res.ok, (n, res.residuals)
             assert res.residuals["first-rung-conjugate-is-identity"] == "ok"
         for m in (1, 2, 3):
-            res = verify_geometric_ladder("z^2", n=1, m=m)
+            (res,) = verify_geometric_ladder("z^2", [(1, m)])
             assert res.ok, (m, res.residuals)
             assert res.residuals["forward-conjugate-in-blow-up-ring"] == "ok"
             assert res.residuals["backward-conjugate-in-blow-up-ring"] == "ok"

@@ -6,6 +6,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from a2bundle import bivariable
 from a2bundle.bivariable import BivariableCert, p_shift_bivariable
 from a2bundle.bundles import (
     FIVE,
@@ -27,6 +28,7 @@ from a2bundle.bundles import (
     verify_hypersurface_samples,
     verify_intersection_samples,
 )
+from a2bundle.cli import LADDER_RUNGS
 from a2bundle.errors import DegreeNotOne, PreconditionViolated
 from a2bundle.exprio import field_from_descriptor, parse
 from a2bundle.fibration import (
@@ -385,14 +387,35 @@ def test_intersection_direct():
 
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (3, 1), (1, 2), (1, 3)])
 def test_geometric_ladder(n, m):
-    res = verify_geometric_ladder("z^2", n=n, m=m)
+    (res,) = verify_geometric_ladder("z^2", [(n, m)])
     assert res.check_id == "lemma52"
     assert res.status == "pass"
 
 
 def test_geometric_ladder_other_polynomial():
-    res = verify_geometric_ladder("z^2 + z", n=1, m=2)
+    (res,) = verify_geometric_ladder("z^2 + z", [(1, 2)])
     assert res.status == "pass"
+
+
+def test_geometric_ladder_rungs_share_one_certificate(monkeypatch):
+    singles = [verify_geometric_ladder("z^2", [rung])[0]
+               for rung in LADDER_RUNGS]
+    real = bivariable.certify
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bivariable, "certify", counting)
+    multi = verify_geometric_ladder("z^2", LADDER_RUNGS)
+    # p_shift_bivariable certifies its basic element and its extension
+    assert len(calls) == 2
+
+    def stripped(res):
+        return {k: v for k, v in res.as_dict().items() if k != "millis"}
+
+    assert [stripped(r) for r in multi] == [stripped(r) for r in singles]
 
 
 # ----------------------------------------------------------- consistency

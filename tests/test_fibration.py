@@ -101,8 +101,10 @@ def test_phi_word_shape_and_roundtrip():
     assert flatten(word + invert(word), CHART, QQ, base=("x",)).is_identity()
     # the inverse word flattens on its own as well (exact divisions inside)
     back = flatten(invert(word), CHART, QQ, base=("x",))
-    assert flat.compose(back).is_identity()
-    assert back.compose(flat).is_identity()
+    for name in CHART.names:
+        ident = MultiPoly.var(CHART, QQ, name)
+        assert substitute(flat.comps[name], back.comps) == ident
+        assert substitute(back.comps[name], flat.comps) == ident
 
 
 def test_phi_jacobian_is_one():
@@ -245,9 +247,9 @@ def test_small_m_shapes_check():
 
 def test_stable_exponent_frozen_for_quadratic_n1():
     # regression: the minimal stability exponent for (z^2, n=1) is 3
-    s, word = stable_variable(spec("z^2", 1))
+    s, word, flat = stable_variable(spec("z^2", 1))
     assert s == 3
-    flat = flatten(word, CHART_EXT, QQ, base=("x",))
+    assert flat == flatten(word, CHART_EXT, QQ, base=("x",))
     ring = RingDescriptor.polynomials(CHART_EXT)
     assert all(ring.contains(c) for c in flat.comps.values())
     assert flat.jac == MultiPoly.const(CHART_EXT, QQ, 1)
@@ -260,6 +262,22 @@ def test_stable_exponent_scan_is_minimal():
     # exponents below the found one do not give polynomial conjugates
     with pytest.raises(NoPolynomialSInRange):
         stable_variable(spec("z^2", 1), s_max=2)
+
+
+def test_stable_variable_flattens_phi_once(monkeypatch):
+    sp = spec("z^2", 1)
+    phi_w = build_phi_word(sp, CHART_EXT)
+    words = []
+
+    def recording(word, *args, **kwargs):
+        words.append(tuple(word))
+        return flatten(word, *args, **kwargs)
+
+    monkeypatch.setattr(fibration, "flatten", recording)
+    s, word, _ = stable_variable(sp)
+    assert words.count(phi_w) == 1
+    # every candidate continues from phi: one shift plus the inverse word
+    assert sum(map(len, words)) == len(phi_w) + s * (1 + len(phi_w))
 
 
 def test_stable_variable_check():
@@ -277,8 +295,9 @@ def test_stable_variable_check_records_non_polynomial_conjugate(monkeypatch):
     x = MultiPoly.var(CHART_EXT, QQ, "x")
     t = MultiPoly.var(CHART_EXT, QQ, "t")
     word = phi + (Triangular("y", x * t),) + invert(phi)
-    monkeypatch.setattr(fibration, "stable_variable", lambda spec, s_max: (1, word))
     flat = flatten(word, CHART_EXT, QQ, base=("x",))
+    monkeypatch.setattr(fibration, "stable_variable",
+                        lambda spec, s_max: (1, word, flat))
     ring = RingDescriptor.polynomials(CHART_EXT)
     bad = [(name, c) for name, c in flat.comps.items() if not ring.contains(c)]
     assert bad

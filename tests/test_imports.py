@@ -1,4 +1,5 @@
-"""Every name a library module imports is read somewhere in it.
+"""Every name a library module imports is read somewhere in it, and every
+function, method and class the library defines is referenced somewhere.
 
 A stdlib ``ast`` scan standing in for a linter: for each module of
 ``src/a2bundle`` it collects the names bound by relative imports
@@ -7,6 +8,10 @@ import (``import x``, ``from x import y``), and fails on any that the module
 never reads. Names used only inside quoted annotations count as read.
 ``from __future__`` imports bind nothing to read. ``__init__.py`` is
 skipped: its imports are the package's re-exports.
+
+A definition counts as referenced when its name appears as a name, an
+attribute or an import in ``src/`` or ``tests/``; dunder methods are called
+by the interpreter and are exempt.
 """
 
 import ast
@@ -14,7 +19,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "a2bundle"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "a2bundle"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -67,3 +73,32 @@ def test_no_unused_relative_imports(path):
 def test_no_unused_module_level_imports(path):
     _assert_all_read(path, lambda tree: [
         n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))])
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name.split(".")[-1]
+
+
+def test_every_definition_is_referenced():
+    files = sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    referenced = set()
+    defined = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        referenced.update(_references(tree))
+        if path.parent == SRC:
+            defined.extend(
+                (f"{path.name}:{node.lineno} {node.name}", node.name)
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)))
+    unused = [where for where, name in defined
+              if name not in referenced
+              and not (name.startswith("__") and name.endswith("__"))]
+    assert not unused, f"defined but never referenced: {', '.join(unused)}"

@@ -12,7 +12,6 @@ from a2bundle.fields import QQ
 from a2bundle.maps import (
     Lemma41Block,
     Permute,
-    PolyMap,
     Scale,
     Triangular,
     check_membership,
@@ -20,7 +19,7 @@ from a2bundle.maps import (
     invert,
     lemma41_build,
 )
-from a2bundle.poly import MultiPoly, RingDescriptor, VarTable, substitute
+from a2bundle.poly import MultiPoly, RingDescriptor, VarTable
 from a2bundle.exprio import parse
 
 TAB = VarTable(("a", "b", "x", "y"), laurent=("a", "b"))
@@ -159,27 +158,6 @@ def test_block_jacobian_is_one():
 # ------------------------------------------------------- flattened PolyMaps
 
 
-def test_identity_and_compose():
-    ident = PolyMap.identity(TAB, QQ, BASE)
-    assert ident.is_identity()
-    w = (Triangular("x", p("b*y")), Scale("x", p("a")))
-    m = flatten(w, TAB, QQ, BASE)
-    assert m.compose(ident) == m
-    assert ident.compose(m) == m
-    # compose really is "self after other"
-    t = flatten((Triangular("x", p("b*y")),), TAB, QQ, BASE)
-    s = flatten((Scale("x", p("a")),), TAB, QQ, BASE)
-    assert s.compose(t).comps["x"] == p("a*x + a*b*y")
-    assert t.compose(s).comps["x"] == p("a*x + b*y")
-
-
-def test_pullback_matches_substitution():
-    w = (Triangular("y", p("x^2")), Permute({"x": "y", "y": "x"}))
-    m = flatten(w, TAB, QQ, BASE)
-    q = p("x*y + a")
-    assert m.pullback(q) == substitute(q, m.comps)
-
-
 def _rand_poly(rng, names, deg, n_terms, laurent=False):
     """Small random polynomial in the given variables."""
     terms = {}
@@ -234,6 +212,11 @@ def test_random_words_invert_and_chain_rule():
         assert flatten(word + invert(word), TAB, QQ, BASE).is_identity()
         # chain-rule Jacobian agrees with the full-matrix determinant
         assert m.jac == m.jacobian_det()
+        # continuing a flattened prefix equals folding the whole word
+        for k in range(len(word) + 1):
+            head = flatten(word[:k], TAB, QQ, BASE)
+            cont = flatten(word[k:], TAB, QQ, BASE, start=head)
+            assert cont == m and cont.jac == m.jac
 
 
 def test_flatten_rejects_moving_base_vars():
