@@ -283,6 +283,27 @@ def _univariate_payload(Q: MultiPoly, what: str) -> MultiPoly:
     return q
 
 
+def _extend(cert: BivariableCert, side: str, m: int, n: int, Q: MultiPoly
+            ) -> BivariableCert:
+    """The extension move into the ``side`` chart (``"a"`` or ``"b"``): the
+    triangular move rides on that chart's word, the block on the other's."""
+    _positive(m=m, n=n)
+    F = cert.field
+    cert.f.require_cleared_by(m, n)
+    q = _univariate_payload(Q, "extension payload Q")
+    s = MultiPoly.var(GLUE, F, side)
+    y = MultiPoly.var(GLUE, F, "y")
+    k, tau = (m, cert.tau_a) if side == "a" else (n, cert.tau_b)
+    sk = s ** k
+
+    tri = (Triangular("x", s * substitute(q, {"x": sk * y})),)
+    partner = (sk if side == "a" else -sk) * to_glue(cert.f.f)
+    phi, _ = lemma41_build(GLUE, F, "x", "y", s, k, q, partner)
+    omega_hat = cert.omega + s * substitute(q, {"x": sk * tau})
+    on_a, on_b = (tri, phi) if side == "a" else (phi, tri)
+    return certify(omega_hat, cert.alpha_word + on_a, cert.beta_word + on_b)
+
+
 def extend_a(cert: BivariableCert, m: int, n: int, Q: MultiPoly
              ) -> BivariableCert:
     """Push a certificate deeper into the ``a``-chart.
@@ -294,20 +315,7 @@ def extend_a(cert: BivariableCert, m: int, n: int, Q: MultiPoly
     congruence partner is grown from ``a^m*f``.  The result is re-certified
     from scratch.
     """
-    _positive(m=m, n=n)
-    F = cert.field
-    tf = cert.f
-    tf.require_cleared_by(m, n)
-    q = _univariate_payload(Q, "extension payload Q")
-    a = MultiPoly.var(GLUE, F, "a")
-    y = MultiPoly.var(GLUE, F, "y")
-    f_glue = to_glue(tf.f)
-
-    tri = Triangular("x", a * substitute(q, {"x": a ** m * y}))
-    phi, _ = lemma41_build(GLUE, F, "x", "y", a, m, q, a ** m * f_glue)
-    omega_hat = cert.omega + a * substitute(q, {"x": a ** m * cert.tau_a})
-    return certify(omega_hat, cert.alpha_word + (tri,),
-                   cert.beta_word + phi)
+    return _extend(cert, "a", m, n, Q)
 
 
 def extend_b(cert: BivariableCert, m: int, n: int, Q: MultiPoly
@@ -318,20 +326,7 @@ def extend_b(cert: BivariableCert, m: int, n: int, Q: MultiPoly
     b-word and the block (scalar ``b``, exponent ``n``, partner grown from
     ``-b^n*f``) on the a-word.
     """
-    _positive(m=m, n=n)
-    F = cert.field
-    tf = cert.f
-    tf.require_cleared_by(m, n)
-    q = _univariate_payload(Q, "extension payload Q")
-    b = MultiPoly.var(GLUE, F, "b")
-    y = MultiPoly.var(GLUE, F, "y")
-    f_glue = to_glue(tf.f)
-
-    tri = Triangular("x", b * substitute(q, {"x": b ** n * y}))
-    phi, _ = lemma41_build(GLUE, F, "x", "y", b, n, q, -(b ** n) * f_glue)
-    omega_hat = cert.omega + b * substitute(q, {"x": b ** n * cert.tau_b})
-    return certify(omega_hat, cert.alpha_word + phi,
-                   cert.beta_word + (tri,))
+    return _extend(cert, "b", m, n, Q)
 
 
 def _univariate_in_z(P: MultiPoly, what: str = "P") -> MultiPoly:

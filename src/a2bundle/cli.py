@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .bivariable import (
     cert_from_json,
@@ -57,77 +58,51 @@ NINE_PAIRS = tuple((p, n)
 #: default (n, m) rungs for the one-denominator ladder
 LADDER_RUNGS = ((1, 1), (2, 1), (3, 1), (1, 2), (1, 3))
 
-VERIFY_IDS = ("lemma21", "prop22", "thm12", "ex23", "ex24", "ex35", "ex312",
-              "ex43", "lemma44", "ex46", "ex47", "ex48", "lemma52", "lemma61",
-              "prop63", "ex66")
-
-#: which of the optional ``verify`` flags each id understands
-VERIFY_FLAGS = {
-    "lemma21": {"P", "n"},
-    "prop22": {"P", "n", "smax"},
-    "thm12": {"P", "n", "m"},
-    "lemma44": {"P"},
-    "lemma52": {"P", "n", "m"},
-}
-
-
 def _zpoly(text, field):
     return parse(text, PVAR, field)
 
 
-def _run_verify_id(check_id: str, args, field) -> list:
-    """All checks for one id, with the id's optional parameters applied."""
-    if check_id == "lemma21":
-        if args.P or args.n:
-            pairs = [(args.P or "z^2", args.n or 1)]
-        else:
-            pairs = NINE_PAIRS
-        return [verify_coordinate_facts(FibrationSpec(_zpoly(p, field), n))
-                for p, n in pairs]
-    if check_id == "prop22":
-        spec = FibrationSpec(_zpoly(args.P or "z^2", field), args.n or 1)
-        return [verify_stable_variable(spec, s_max=args.smax or 12)]
-    if check_id == "thm12":
-        if args.P or args.n:
-            pairs = [(args.P or "z^2", args.n or 1)]
-        else:
-            pairs = NINE_PAIRS
-        return [verify_bundle_identity(
-                    FibrationSpec(_zpoly(p, field), n), m=args.m)
-                for p, n in pairs]
-    if check_id == "ex23":
-        return [verify_frozen_instances()]
-    if check_id == "ex24":
-        return [verify_small_m_shapes()]
-    if check_id == "ex35":
-        return [verify_basic_family(field=field)]
-    if check_id == "ex312":
-        return [verify_constant_shift(field=field)]
-    if check_id == "ex43":
-        return [verify_p_shift(field=field)]
-    if check_id == "lemma44":
-        return [verify_quadratic_descent(args.P or "z^2", field=field)]
-    if check_id in ("ex46", "ex48"):
-        return [verify_congruence_move(check_id, field=field)]
-    if check_id == "ex47":
-        # needs a square root of 1/5: finite fields pass through, anything
-        # else falls back to the stock quadratic extension
-        chosen = field if field.characteristic else None
-        return [verify_congruence_move("ex47", field=chosen)]
-    if check_id == "lemma52":
-        p = args.P or "z^2"
-        if args.n or args.m:
-            rungs = [(args.n or 1, args.m or 1)]
-        else:
-            rungs = LADDER_RUNGS
-        return verify_geometric_ladder(p, rungs, field)
-    if check_id == "lemma61":
-        return verify_hypersurface_samples(field=field)
-    if check_id == "prop63":
-        return verify_intersection_samples(field=field)
-    if check_id == "ex66":
-        return [verify_mixed_denominator(field=field)]
-    raise AlgebraError(f"unknown check id {check_id!r}")
+def _pairs(args):
+    """The (P, n) pairs of lemma21/thm12: the one given, else the grid."""
+    if args.P or args.n:
+        return [(args.P or "z^2", args.n or 1)]
+    return NINE_PAIRS
+
+
+#: each verify id, in canonical order: the optional flags it understands and
+#: its runner ``(args, field) -> list of results``
+VERIFY = {
+    "lemma21": (("P", "n"), lambda args, F: [
+        verify_coordinate_facts(FibrationSpec(_zpoly(p, F), n))
+        for p, n in _pairs(args)]),
+    "prop22": (("P", "n", "smax"), lambda args, F: [verify_stable_variable(
+        FibrationSpec(_zpoly(args.P or "z^2", F), args.n or 1),
+        s_max=args.smax or 12)]),
+    "thm12": (("P", "n", "m"), lambda args, F: [
+        verify_bundle_identity(FibrationSpec(_zpoly(p, F), n), m=args.m)
+        for p, n in _pairs(args)]),
+    "ex23": ((), lambda args, F: [verify_frozen_instances()]),
+    "ex24": ((), lambda args, F: [verify_small_m_shapes()]),
+    "ex35": ((), lambda args, F: [verify_basic_family(field=F)]),
+    "ex312": ((), lambda args, F: [verify_constant_shift(field=F)]),
+    "ex43": ((), lambda args, F: [verify_p_shift(field=F)]),
+    "lemma44": (("P",), lambda args, F: [
+        verify_quadratic_descent(args.P or "z^2", field=F)]),
+    "ex46": ((), lambda args, F: [verify_congruence_move("ex46", F)]),
+    # needs a square root of 1/5: finite fields pass through, anything
+    # else falls back to the stock quadratic extension
+    "ex47": ((), lambda args, F: [verify_congruence_move(
+        "ex47", F if F.characteristic else None)]),
+    "ex48": ((), lambda args, F: [verify_congruence_move("ex48", F)]),
+    "lemma52": (("P", "n", "m"), lambda args, F: verify_geometric_ladder(
+        args.P or "z^2",
+        [(args.n or 1, args.m or 1)] if args.n or args.m else LADDER_RUNGS,
+        F)),
+    "lemma61": ((), lambda args, F: verify_hypersurface_samples(field=F)),
+    "prop63": ((), lambda args, F: verify_intersection_samples(field=F)),
+    "ex66": ((), lambda args, F: [verify_mixed_denominator(field=F)]),
+}
+VERIFY_IDS = tuple(VERIFY)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -161,18 +136,23 @@ def _cmd_transition(args, field) -> int:
 def _cmd_verify(args, field) -> int:
     given = {flag for flag in ("P", "n", "m", "smax")
              if getattr(args, flag) is not None}
-    if args.id == "all":
-        if given:
-            raise AlgebraError("verify all takes no per-id parameters")
-        checks = []
-        for check_id in VERIFY_IDS:
-            checks.extend(_run_verify_id(check_id, args, field))
-    else:
-        stray = given - VERIFY_FLAGS.get(args.id, set())
+    if args.id != "all":
+        stray = given.difference(VERIFY[args.id][0])
         if stray:
             raise AlgebraError(
                 f"check {args.id!r} does not take --{sorted(stray)[0]}")
-        checks = _run_verify_id(args.id, args, field)
+        return _finish(VERIFY[args.id][1](args, field), field, args)
+    if given:
+        raise AlgebraError("verify all takes no per-id parameters")
+    checks = []
+    for check_id, (_, run) in VERIFY.items():
+        # one id that raises becomes one "error" entry; the run goes on
+        b = CheckBuilder(check_id, field=field.descriptor())
+        try:
+            checks.extend(run(args, field))
+        except AlgebraError as exc:
+            b.expect("exception", False, f"{type(exc).__name__}: {exc}")
+            checks.append(replace(b.done(), status="error"))
     return _finish(checks, field, args)
 
 

@@ -153,8 +153,7 @@ class _Parser:
         """Returns (poly, position, variable_name_or_None)."""
         kind, val, pos = self.toks.next()
         if kind == "num":
-            return MultiPoly.const(self.table, self.field,
-                                   self.field.from_fraction(Fraction(int(val)))), pos, None
+            return MultiPoly.const(self.table, self.field, int(val)), pos, None
         if kind == "name":
             if val == "t" and self.has_generator:
                 return MultiPoly.const(self.table, self.field,

@@ -84,9 +84,6 @@ class Rationals(FieldSpec):
             return value.value
         raise FieldMismatch(f"cannot interpret {value!r} as a rational")
 
-    def from_fraction(self, q: Fraction):
-        return q
-
     def add(self, a, b):
         return a + b
 
@@ -136,13 +133,8 @@ class PrimeField(FieldSpec):
         if not _is_prime(self.p):
             raise BadFieldSpec(f"{self.p} is not prime")
 
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
+    zero = 0
+    one = 1
 
     @property
     def characteristic(self):
@@ -303,9 +295,6 @@ class QuotientExtension(FieldSpec):
                 return self._reduce(vals)
             return tuple(vals) + self.zero[len(vals):]
         raise FieldMismatch(f"cannot interpret {value!r} as an element of {self}")
-
-    def from_fraction(self, q: Fraction):
-        return (q,) + self.zero[1:]
 
     def _from_ints(self, v, den):
         """The element ``sum(v[i] * t^i) / den`` for an integer vector ``v`` of

@@ -248,22 +248,15 @@ class Lemma41Block:
         am = a_img ** self.m
         t = am * state[self.var_y] + substitute(self.f, state)
         newx = state[self.var_x] + a_img * substitute(
-            self.q, _with(state, self.var_x, t))
+            self.q, {**state, self.var_x: t})
         newy = divide_exact(
-            t - substitute(self.g, _with(state, self.var_x, newx)), am)
+            t - substitute(self.g, {**state, self.var_x: newx}), am)
         state[self.var_x] = newx
         state[self.var_y] = newy
 
     def __str__(self):
         return (f"block[{self.scalar}^{self.m}]({self.var_x},{self.var_y}; "
                 f"Q={self.q})")
-
-
-def _with(state: dict, name: str, image) -> dict:
-    """Copy of ``state`` with one variable remapped."""
-    out = dict(state)
-    out[name] = image
-    return out
 
 
 # ----------------------------------------------------------- flattened maps
@@ -420,10 +413,10 @@ def lemma41_build(table: VarTable, field, var_x: str, var_y: str,
 # ------------------------------------------------------------- memberships
 
 
-def check_membership(pm: PolyMap, ring: RingDescriptor, names=None) -> None:
-    """Assert every (moved) component lies in ``ring``; raise
+def check_membership(pm: PolyMap, ring: RingDescriptor) -> None:
+    """Assert every moved component lies in ``ring``; raise
     :class:`MembershipError` naming the component and one offending term."""
-    for name in (names if names is not None else pm.moved):
+    for name in pm.moved:
         comp = pm.comps[name]
         if not ring.contains(comp):
             exps, coeff = ring.violations(comp)[0]

@@ -781,22 +781,23 @@ class RingDescriptor:
         return RingDescriptor(self.table, self.lower,
                               self.sums + ((tuple(coeffs), rhs),))
 
-    def violations(self, poly: MultiPoly):
-        """Offending (exponents, coefficient) pairs, in canonical order."""
+    def _offenders(self, poly: MultiPoly, terms):
+        """The (exponents, coefficient) pairs of ``terms`` outside the ring,
+        lazily, in the order given."""
         if poly.table.names != self.table.names:
             raise VarTableMismatch(
                 f"membership check across tables {poly.table.names} vs {self.table.names}")
-        bad = []
-        for e, c in poly.sorted_terms():
-            ok = all(b is None or x >= b for x, b in zip(e, self.lower))
-            if ok:
-                for coeffs, rhs in self.sums:
-                    if sum(k * x for k, x in zip(coeffs, e)) < rhs:
-                        ok = False
-                        break
-            if not ok:
-                bad.append((e, c))
-        return bad
+        lower, sums = self.lower, self.sums
+        return ((e, c) for e, c in terms
+                if not (all(b is None or x >= b for x, b in zip(e, lower))
+                        and all(sum(k * x for k, x in zip(coeffs, e)) >= rhs
+                                for coeffs, rhs in sums)))
+
+    def violations(self, poly: MultiPoly):
+        """Offending (exponents, coefficient) pairs, in canonical order."""
+        return list(self._offenders(poly, poly.sorted_terms()))
 
     def contains(self, poly: MultiPoly) -> bool:
-        return not self.violations(poly)
+        """Whether every term lies in the ring; stops at the first that does
+        not, without sorting."""
+        return next(self._offenders(poly, poly.terms.items()), None) is None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field as dfield
+from dataclasses import asdict, dataclass, field as dfield
 
 SCHEMA_VERSION = "1"
 
@@ -29,16 +29,6 @@ class CheckResult:
     @property
     def ok(self) -> bool:
         return self.status == "pass"
-
-    def as_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "inputs": self.inputs,
-            "status": self.status,
-            "residuals": self.residuals,
-            "witness": self.witness,
-            "millis": self.millis,
-        }
 
 
 class CheckBuilder:
@@ -103,7 +93,7 @@ class VerificationReport:
             {
                 "version": self.version,
                 "field": self.field,
-                "checks": [c.as_dict() for c in self.checks],
+                "checks": [asdict(c) for c in self.checks],
             },
             indent=2,
         )

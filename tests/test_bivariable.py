@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from a2bundle import bivariable, bundles
 from a2bundle.bivariable import (
+    BLOWUP,
     GLUE,
     RING_A,
     RING_B,
@@ -492,3 +493,22 @@ def test_extension_recertifies_property(q, side):
     comp = flatten(invert(hat.beta_word) + hat.alpha_word, GLUE, QQ,
                    ("a", "b"))
     assert comp.comps["x"] == MultiPoly.var(GLUE, QQ, "x")
+
+
+glue_polys = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-1, 2),
+              st.integers(-1, 2)),
+    st.integers(-3, 3).filter(bool),
+    max_size=6).map(lambda d: MultiPoly(GLUE, QQ, d))
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=glue_polys)
+def test_ring_contains_agrees_with_violations(p):
+    # contains stops at the first offending term; violations lists them all,
+    # in canonical order
+    for ring in (RING_A, RING_B, BLOWUP):
+        bad = [(e, c) for e, c in p.sorted_terms()
+               if not ring.contains(MultiPoly(GLUE, QQ, {e: c}))]
+        assert ring.violations(p) == bad
+        assert ring.contains(p) == (not bad)

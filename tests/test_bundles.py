@@ -1,3 +1,4 @@
+import dataclasses
 import time
 from fractions import Fraction
 
@@ -413,7 +414,7 @@ def test_geometric_ladder_rungs_share_one_certificate(monkeypatch):
     assert len(calls) == 2
 
     def stripped(res):
-        return {k: v for k, v in res.as_dict().items() if k != "millis"}
+        return {k: v for k, v in dataclasses.asdict(res).items() if k != "millis"}
 
     assert [stripped(r) for r in multi] == [stripped(r) for r in singles]
 

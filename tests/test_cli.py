@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from a2bundle import errors
 from a2bundle.bivariable import (
     basic_bivariable,
     cert_from_json,
@@ -156,6 +157,35 @@ def test_verify_root_sample_impossible_field(capsys):
     code, _, err = run(capsys, "verify", "ex47", "--field", "fp:7")
     assert code == 2
     assert "square root" in err
+
+
+@pytest.mark.parametrize("desc", ["fp:2", "fp:3", "fp:5", "fp:7", "fp:13"])
+def test_verify_all_isolates_each_id(capsys, desc):
+    # a check id that raises over this field becomes one "error" entry
+    # naming the exception; the other ids still run and the exit code is 1
+    code, out, _ = run(capsys, "verify", "all", "--field", desc,
+                       "--format", "json")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 40
+    assert {c["status"] for c in checks} <= {"pass", "fail", "error"}
+    errored = [c for c in checks if c["status"] == "error"]
+    assert "ex47" in [c["check_id"] for c in errored]
+    for c in errored:
+        assert c["inputs"] == {"field": desc}
+        (detail,) = c["residuals"].values()
+        name, _, message = detail.partition(": ")
+        assert issubclass(getattr(errors, name), errors.AlgebraError)
+        assert message
+
+
+def test_verify_all_error_entry_in_text(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--field", "fp:7")
+    assert code == 1
+    assert "[ERROR] ex47  field=fp:7" in out
+    assert ("exception: PreconditionViolated: field F_7 has no square root "
+            "of 1/5") in out
+    assert "40 check(s): SOME CHECKS FAILED" in out
 
 
 def test_verify_unknown_id_usage_error(capsys):

@@ -12,9 +12,13 @@ skipped: its imports are the package's re-exports.
 A definition counts as referenced when its name appears as a name, an
 attribute or an import in ``src/`` or ``tests/``; dunder methods are called
 by the interpreter and are exempt.
+
+The benchmark's tracer (``perfbench/layers.py``) wraps library functions and
+methods by name, so those names must stay defined as well.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -102,3 +106,21 @@ def test_every_definition_is_referenced():
               if name not in referenced
               and not (name.startswith("__") and name.endswith("__"))]
     assert not unused, f"defined but never referenced: {', '.join(unused)}"
+
+
+def test_perfbench_boundaries_are_defined(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    layers = importlib.import_module("layers")
+    from a2bundle.fields import PrimeField, QuotientExtension, Rationals
+    from a2bundle.poly import MultiPoly
+
+    missing = [f"{module}.{attr}" for _, module, attr, _ in layers.FUNCTIONS
+               if not callable(getattr(importlib.import_module(module), attr,
+                                       None))]
+    # wrap_method replaces entries of the class's own __dict__
+    owned = [(MultiPoly, attr) for attr in ("__add__", "__mul__", "__pow__")]
+    owned += [(cls, op) for cls in (Rationals, PrimeField, QuotientExtension)
+              for op in layers.FIELD_OPS]
+    missing += [f"{cls.__name__}.{attr}" for cls, attr in owned
+                if not callable(cls.__dict__.get(attr))]
+    assert not missing, f"perfbench wraps undefined names: {', '.join(missing)}"
