@@ -127,9 +127,8 @@ def _normalise_jacobian(word, flat, chart_var, side):
     if not jac.is_monomial():
         raise JacobianNotUnit(
             f"{side} word has non-monomial jacobian {jac}")
-    (exps,) = jac.terms
-    for name, e in zip(table.names, exps):
-        if e and name != chart_var:
+    for name in table.names:
+        if name != chart_var and jac.involves(name):
             raise JacobianNotUnit(
                 f"{side} word has jacobian {jac}, not a unit of the "
                 f"{chart_var}-chart")
@@ -298,7 +297,7 @@ def _extend(cert: BivariableCert, side: str, m: int, n: int, Q: MultiPoly
 
     tri = (Triangular("x", s * substitute(q, {"x": sk * y})),)
     partner = (sk if side == "a" else -sk) * to_glue(cert.f.f)
-    phi, _ = lemma41_build(GLUE, F, "x", "y", s, k, q, partner)
+    phi = lemma41_build(GLUE, F, "x", "y", s, k, q, partner)
     omega_hat = cert.omega + s * substitute(q, {"x": sk * tau})
     on_a, on_b = (tri, phi) if side == "a" else (phi, tri)
     return certify(omega_hat, cert.alpha_word + on_a, cert.beta_word + on_b)

@@ -115,8 +115,8 @@ def a1_equiv(f: TransitionFunction, g: TransitionFunction):
         return None
     else:
         exps, f_c = f_dd.leading_term()
-        g_c = g_dd.terms.get(exps)
-        if g_c is None:
+        g_exps, g_c = g_dd.leading_term()
+        if g_exps != exps:
             return None
         lam = F.div(g_c, f_c)
         if g_dd != f_dd.scale(lam):
@@ -405,16 +405,15 @@ def lemma62_variable(P: MultiPoly, m: int, n: int):
             Scale("x", MultiPoly.const(FIVE, F, F.neg(F.inv(xi)))))
     q1 = substitute(eqn, flatten(norm, FIVE, F, BASE).comps)
     tail = q1 - x5 - a5 ** m * u5 + b5 ** n * v5
-    part_a = MultiPoly(FIVE, F, {e: c for e, c in tail.terms.items()
-                                 if e[0] >= 1}, _clean=False)
-    part_b = tail - part_a
+    part_b = truncate_var(tail, "a", 1)
+    part_a = tail - part_b
     if part_b and part_b.min_degree_in("b") < 1:
         raise ShapeError(f"normalised tail {tail} has a bare constant")
     p1 = part_a * a5 ** -1
     p2 = part_b * b5 ** -1
 
     # absorb a^m*u + a*p1(x) into x: inverse block with scalar a
-    _, w1 = lemma41_build(FIVE, F, "x", "u", a5, m - 1, x5, p1)
+    w1 = invert(lemma41_build(FIVE, F, "x", "u", a5, m - 1, x5, p1))
     q2 = substitute(q1, flatten(w1, FIVE, F, BASE).comps)
     tail2 = q2 - x5 + b5 ** n * v5
     if tail2 and tail2.min_degree_in("b") < 1:
@@ -422,7 +421,7 @@ def lemma62_variable(P: MultiPoly, m: int, n: int):
     p3 = tail2 * b5 ** -1
 
     # absorb -b^n*v + b*p3(x) into x: inverse block with scalar b
-    _, w2 = lemma41_build(FIVE, F, "x", "v", b5, n - 1, -x5, -p3)
+    w2 = invert(lemma41_build(FIVE, F, "x", "v", b5, n - 1, -x5, -p3))
     # pulling the equation back through a flattened word composes the
     # generators in reverse, so the normalisation goes last
     word = w2 + w1 + norm

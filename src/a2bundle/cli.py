@@ -62,10 +62,15 @@ def _zpoly(text, field):
     return parse(text, PVAR, field)
 
 
+def _or(value, default):
+    """A flag's value if it was given (even as 0 or ''), else the default."""
+    return default if value is None else value
+
+
 def _pairs(args):
     """The (P, n) pairs of lemma21/thm12: the one given, else the grid."""
-    if args.P or args.n:
-        return [(args.P or "z^2", args.n or 1)]
+    if args.P is not None or args.n is not None:
+        return [(_or(args.P, "z^2"), _or(args.n, 1))]
     return NINE_PAIRS
 
 
@@ -76,8 +81,8 @@ VERIFY = {
         verify_coordinate_facts(FibrationSpec(_zpoly(p, F), n))
         for p, n in _pairs(args)]),
     "prop22": (("P", "n", "smax"), lambda args, F: [verify_stable_variable(
-        FibrationSpec(_zpoly(args.P or "z^2", F), args.n or 1),
-        s_max=args.smax or 12)]),
+        FibrationSpec(_zpoly(_or(args.P, "z^2"), F), _or(args.n, 1)),
+        s_max=_or(args.smax, 12))]),
     "thm12": (("P", "n", "m"), lambda args, F: [
         verify_bundle_identity(FibrationSpec(_zpoly(p, F), n), m=args.m)
         for p, n in _pairs(args)]),
@@ -87,7 +92,7 @@ VERIFY = {
     "ex312": ((), lambda args, F: [verify_constant_shift(field=F)]),
     "ex43": ((), lambda args, F: [verify_p_shift(field=F)]),
     "lemma44": (("P",), lambda args, F: [
-        verify_quadratic_descent(args.P or "z^2", field=F)]),
+        verify_quadratic_descent(_or(args.P, "z^2"), field=F)]),
     "ex46": ((), lambda args, F: [verify_congruence_move("ex46", F)]),
     # needs a square root of 1/5: finite fields pass through, anything
     # else falls back to the stock quadratic extension
@@ -95,8 +100,9 @@ VERIFY = {
         "ex47", F if F.characteristic else None)]),
     "ex48": ((), lambda args, F: [verify_congruence_move("ex48", F)]),
     "lemma52": (("P", "n", "m"), lambda args, F: verify_geometric_ladder(
-        args.P or "z^2",
-        [(args.n or 1, args.m or 1)] if args.n or args.m else LADDER_RUNGS,
+        _or(args.P, "z^2"),
+        LADDER_RUNGS if args.n is None and args.m is None
+        else [(_or(args.n, 1), _or(args.m, 1))],
         F)),
     "lemma61": ((), lambda args, F: verify_hypersurface_samples(field=F)),
     "prop63": ((), lambda args, F: verify_intersection_samples(field=F)),

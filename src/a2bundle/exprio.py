@@ -20,8 +20,6 @@ parenthesized. ``to_expr(parse(s)) == to_expr(p)`` whenever ``parse(s) == p``.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import (
     ExprSyntaxError,
     NegativeExponentNotAllowed,
@@ -171,14 +169,11 @@ class _Parser:
 def parse(text: str, table: VarTable, field: FieldSpec = QQ) -> MultiPoly:
     """Parse ``text`` into a polynomial over ``table`` and ``field``."""
     out = _Parser(text, table, field).parse()
-    for i, name in enumerate(table.names):
-        if table.is_laurent(name):
-            continue
-        for e in out.terms:
-            if e[i] < 0:
-                raise NegativeExponentNotAllowed(
-                    f"expression has a negative power of {name!r}, which is "
-                    f"not flagged laurent", 0)
+    for name in table.names:
+        if not table.is_laurent(name) and (out.min_degree_in(name) or 0) < 0:
+            raise NegativeExponentNotAllowed(
+                f"expression has a negative power of {name!r}, which is "
+                f"not flagged laurent", 0)
     return out
 
 
@@ -228,7 +223,8 @@ def field_from_descriptor(desc: str) -> FieldSpec:
         deg = p.degree_in("t")
         if deg is None:
             raise ExprSyntaxError("minimal polynomial must not be zero", 0)
-        coeffs = tuple(p.terms.get((k,), Fraction(0)) for k in range(deg + 1))
+        coeffs = tuple(p.coefficient_in("t", k).constant_value()
+                       for k in range(deg + 1))
         return QuotientExtension(coeffs)
     raise ExprSyntaxError(
         f"unknown field descriptor {desc!r} (expected q, fp:<p>, or ext:<minpoly>)", 0)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .errors import BadFieldSpec, DivisionByZero, FieldMismatch
 
@@ -194,36 +194,45 @@ class PrimeField(FieldSpec):
 
 
 def _rational_roots_exist(coeffs: tuple[Fraction, ...]) -> bool:
-    """True iff the polynomial (low-to-high coefficients) has a rational root.
+    """True iff the polynomial (low-to-high coefficients, degree 2 or 3) has a
+    rational root; enough to decide irreducibility over Q in these degrees.
 
-    Clears denominators and runs the rational root theorem; enough to decide
-    irreducibility over Q in degrees 2 and 3.
+    The work grows with the number of digits, not with their value: a
+    quadratic has a rational root iff its discriminant is a square, and
+    ``X = c3*r`` turns each rational root ``r`` of a cubic into an integer
+    root of the monic ``h`` below, found by bisection on its monotone pieces.
     """
-    if coeffs[0] == 0:
-        return True  # root at 0
     den = lcm(*[c.denominator for c in coeffs])
     ints = [int(c * den) for c in coeffs]
-    a0, an = abs(ints[0]), abs(ints[-1])
+    if len(ints) == 3:
+        disc = ints[1] ** 2 - 4 * ints[0] * ints[2]
+        return disc >= 0 and isqrt(disc) ** 2 == disc
+    c0, c1, b, c3 = ints
+    c, d = c1 * c3, c0 * c3 * c3
+    h = lambda x: ((x + b) * x + c) * x + d
 
-    def divisors(n):
-        out = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                out.append(d)
-                out.append(n // d)
-            d += 1
-        return out
+    def root_in(lo, hi, sign):  # sign * h is nondecreasing on lo..hi
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            v = sign * h(mid)
+            if v == 0:
+                return True
+            lo, hi = (mid + 1, hi) if v < 0 else (lo, mid - 1)
+        return False
 
-    for p in divisors(a0):
-        for q in divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    return True
-    return False
+    bound = 1 + max(abs(b), abs(c), abs(d))  # Cauchy's bound on the roots
+    disc = b * b - 3 * c
+    if disc <= 0:  # h' >= 0 everywhere
+        return root_in(-bound, bound, 1)
+    # h' vanishes at (-b -+ sqrt(disc))/3, within 1/3 above (-b-s-1)/3 and
+    # (-b+s)/3: h rises to lo1, falls on hi1..lo2 and rises from hi2, and
+    # each gap between the pieces holds at most one integer
+    s = isqrt(disc)
+    lo1, hi1 = (-b - s - 1) // 3, -((b + s) // 3)
+    lo2, hi2 = (s - b) // 3, -((b - s - 1) // 3)
+    return (any(h(x) == 0 for x in (*range(lo1 + 1, hi1), *range(lo2 + 1, hi2)))
+            or root_in(-bound, lo1, 1) or root_in(hi1, lo2, -1)
+            or root_in(hi2, bound, 1))
 
 
 def _power_rows(minpoly, top):

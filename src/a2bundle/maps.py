@@ -6,6 +6,10 @@ generator acts first.  Flattening a word folds it into a :class:`PolyMap`
 determinant along the way via the chain rule, so the unit-Jacobian checks
 never need the flattened components differentiated from scratch (though
 :meth:`PolyMap.jacobian_det` can still do exactly that as a cross-check).
+Each generator's ``apply(state)`` moves the running images and returns its
+own Jacobian factor, pushed through the images it found, as an exact pair
+``(num, den)``: ``1, 1`` for triangular moves and blocks, the sign for a
+permutation, and the unit's image for a scale.
 :func:`flatten` is the only way maps are composed: passing a map already in
 hand as ``start`` continues its fold, so a word's prefix is never replayed.
 
@@ -67,11 +71,9 @@ class Triangular:
     def inverse(self) -> "Triangular":
         return Triangular(self.var, -self.shift)
 
-    def det_frac(self, table, field, state):
-        return MultiPoly.const(table, field, 1), MultiPoly.const(table, field, 1)
-
-    def apply(self, state: dict) -> None:
+    def apply(self, state: dict):
         state[self.var] = state[self.var] + substitute(self.shift, state)
+        return 1, 1
 
     def __str__(self):
         return f"{self.var} += {self.shift}"
@@ -96,15 +98,16 @@ class Scale:
     def inverse(self) -> "Scale":
         return Scale(self.var, self.unit ** -1)
 
-    def det_frac(self, table, field, state):
-        """The unit pushed through ``state`` as an exact fraction.
+    def apply(self, state: dict):
+        """Push the unit through ``state`` as an exact fraction ``num/den``.
 
         Negative unit exponents on variables whose current image is not a
         monomial cannot be substituted directly, so they accumulate in the
-        denominator instead.
+        denominator instead; the product with the numerator is then exactly
+        divisible by it whenever the word stays inside the Laurent ring.
         """
-        (exps,) = self.unit.terms
-        coeff = self.unit.terms[exps]
+        table, field = self.unit.table, self.unit.field
+        exps, coeff = self.unit.leading_term()
         num = MultiPoly.const(table, field, coeff)
         den = MultiPoly.const(table, field, 1)
         for name, e in zip(table.names, exps):
@@ -115,18 +118,11 @@ class Scale:
                 num = num * img ** e
             else:
                 den = den * img ** (-e)
-        return num, den
-
-    def apply(self, state: dict) -> None:
-        # the unit may invert a variable whose running image is a sum; the
-        # product with the numerator part is then exactly divisible by the
-        # denominator part whenever the word stays inside the Laurent ring
-        table, field = self.unit.table, self.unit.field
-        num, den = self.det_frac(table, field, state)
         cur = state[self.var] * num
-        if den != MultiPoly.const(table, field, 1):
+        if den != 1:
             cur = divide_exact(cur, den)
         state[self.var] = cur
+        return num, den
 
     def __str__(self):
         return f"{self.var} *= {self.unit}"
@@ -151,28 +147,15 @@ class Permute:
     def inverse(self) -> "Permute":
         return Permute({old: new for new, old in self.mapping})
 
-    def det_frac(self, table, field, state):
-        return self.det(table, field), MultiPoly.const(table, field, 1)
+    def sign(self) -> int:
+        # parity of the inversions among the old names in new-name order
+        olds = [old for _, old in self.mapping]
+        inversions = sum(a > b for i, a in enumerate(olds) for b in olds[i + 1:])
+        return -1 if inversions % 2 else 1
 
-    def det(self, table, field) -> MultiPoly:
-        # parity via cycle decomposition
-        perm = dict(self.mapping)
-        seen, sign = set(), 1
-        for start in perm:
-            if start in seen:
-                continue
-            length, v = 0, start
-            while v not in seen:
-                seen.add(v)
-                v = perm[v]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return MultiPoly.const(table, field, sign)
-
-    def apply(self, state: dict) -> None:
-        images = {new: state[old] for new, old in self.mapping}
-        state.update(images)
+    def apply(self, state: dict):
+        state.update({new: state[old] for new, old in self.mapping})
+        return self.sign(), 1
 
     def __str__(self):
         moved = [f"{new}<-{old}" for new, old in self.mapping if new != old]
@@ -225,11 +208,9 @@ class Lemma41Block:
         y = MultiPoly.var(table, field, self.var_y)
         t = self.scalar ** self.m * y + self.f
         v = x + self.scalar * substitute(self.q, {self.var_x: t})
-        diff = t - substitute(self.g, {self.var_x: v})
-        (s_exps,) = self.scalar.terms
-        need = [(i, self.m * s) for i, s in enumerate(s_exps) if s]
-        for e in diff.terms:
-            if any(e[i] < n for i, n in need):
+        quot = (t - substitute(self.g, {self.var_x: v})) * self.scalar ** -self.m
+        for name in table.names:
+            if self.scalar.involves(name) and (quot.min_degree_in(name) or 0) < 0:
                 raise CongruenceFailed(
                     f"block congruence fails: f(x) - g(x_new) is not "
                     f"divisible by ({self.scalar})^{self.m}")
@@ -238,12 +219,7 @@ class Lemma41Block:
         return Lemma41Block(self.var_x, self.var_y, self.scalar, self.m,
                             -self.q, self.g, self.f)
 
-    def det_frac(self, table, field, state):
-        # 2x2 determinant collapses to 1 after the exact division; the
-        # flatten() tests cross-check this against the full matrix.
-        return MultiPoly.const(table, field, 1), MultiPoly.const(table, field, 1)
-
-    def apply(self, state: dict) -> None:
+    def apply(self, state: dict):
         a_img = substitute(self.scalar, state)
         am = a_img ** self.m
         t = am * state[self.var_y] + substitute(self.f, state)
@@ -253,6 +229,9 @@ class Lemma41Block:
             t - substitute(self.g, {**state, self.var_x: newx}), am)
         state[self.var_x] = newx
         state[self.var_y] = newy
+        # the 2x2 determinant collapses to 1 after the exact division; the
+        # flatten() tests cross-check this against the full matrix
+        return 1, 1
 
     def __str__(self):
         return (f"block[{self.scalar}^{self.m}]({self.var_x},{self.var_y}; "
@@ -352,14 +331,16 @@ def flatten(word, table: VarTable, field, base=(), start=None) -> PolyMap:
         if hit:
             raise InvalidGenerator(
                 f"generator {gen} moves base variable(s) {hit}")
-        n_g, d_g = gen.det_frac(table, field, state)
-        jac_num, jac_den = jac_num * n_g, jac_den * d_g
+        n_g, d_g = gen.apply(state)
+        if n_g != 1:
+            jac_num = jac_num * n_g
+        if d_g != 1:
+            jac_den = jac_den * d_g
         if jac_den != one:
             try:
                 jac_num, jac_den = divide_exact(jac_num, jac_den), one
             except NotDivisible:
                 pass
-        gen.apply(state)
     pm = PolyMap(table, field, base, state, jac_num)
     # a denominator left here already failed its division in the loop
     if jac_den != one:
@@ -387,8 +368,7 @@ def invert(word):
 
 def lemma41_build(table: VarTable, field, var_x: str, var_y: str,
                   a_elt: MultiPoly, m: int, q: MultiPoly, f: MultiPoly):
-    """Build the mutually inverse one-block words for the glueing data
-    ``(A, m, Q, f)``.
+    """Build the one-block word for the glueing data ``(A, m, Q, f)``.
 
     The partner polynomial is grown by the fixed-point iteration
 
@@ -398,16 +378,14 @@ def lemma41_build(table: VarTable, field, var_x: str, var_y: str,
     block constructor re-checks that congruence and raises
     :class:`CongruenceFailed` if the iteration did not deliver it.
 
-    Returns ``(phi, psi)`` as one-generator words with ``psi`` the exact
-    inverse of ``phi``.
+    Returns the one-generator word; :func:`invert` gives its inverse.
     """
     x = MultiPoly.var(table, field, var_x)
     g = f
     for _ in range(1, m):
         arg = x - a_elt * substitute(q, {var_x: g})
         g = substitute(f, {var_x: arg})
-    block = Lemma41Block(var_x, var_y, a_elt, m, q, f, g)
-    return (block,), (block.inverse(),)
+    return (Lemma41Block(var_x, var_y, a_elt, m, q, f, g),)
 
 
 # ------------------------------------------------------------- memberships

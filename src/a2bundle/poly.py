@@ -6,6 +6,10 @@ included); whether a *user* is allowed to write a negative power for a given
 variable is an expression-IO concern (the table's ``laurent`` flags), not an
 arithmetic one.
 
+Only this module reads that term dict; other modules go through
+:class:`MultiPoly` methods, so the representation can change here alone.
+``MultiPoly.terms`` stays a public dict because the benchmark reads it.
+
 Coefficients are raw field values (see :mod:`a2bundle.fields`); every
 polynomial carries its field spec. Multiplication of two multi-term
 polynomials runs one integer convolution per field kind, with no pass

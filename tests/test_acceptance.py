@@ -46,7 +46,7 @@ from a2bundle.fibration import (
     verify_stable_variable,
 )
 from a2bundle.fields import QQ
-from a2bundle.maps import Scale, Triangular, flatten, lemma41_build
+from a2bundle.maps import Scale, Triangular, flatten, invert, lemma41_build
 from a2bundle.poly import MultiPoly, divide_exact, substitute
 
 THREE_POLYS = ("z^2", "z^2 + z", "z^3 + 2*z")
@@ -166,7 +166,8 @@ def test_c05_block_roundtrips(capsys):
                 continue
             q, f = rand_poly(deg_q), rand_poly(deg_f)
             A = scalars[rng.randrange(3)]
-            phi, psi = lemma41_build(GLUE, F, "x", "y", A, m, q, f)
+            phi = lemma41_build(GLUE, F, "x", "y", A, m, q, f)
+            psi = invert(phi)
             fwd = flatten(phi + psi, GLUE, F, ("a", "b"))
             bwd = flatten(psi + phi, GLUE, F, ("a", "b"))
             assert fwd.is_identity() and bwd.is_identity()

@@ -141,6 +141,20 @@ def test_verify_stray_flag_rejected(capsys):
     assert "does not take --P" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("lemma21", "--n", "0"), "n must be a positive integer"),
+    (("prop22", "--smax", "0"), "no polynomial conjugate for s = 1..0"),
+    (("lemma52", "--m", "0"), "glueing exponent m must be >= 1"),
+    (("lemma21", "--P", ""), "expected a value, found 'end of input'"),
+])
+def test_verify_explicit_zero_or_empty_flag_is_not_the_default(
+        capsys, argv, message):
+    # a flag given as 0 or '' is used as given, not replaced by its default
+    code, _, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert message in err
+
+
 def test_verify_root_sample_field_selection(capsys):
     code, out, _ = run(capsys, "verify", "ex47", "--format", "json")
     assert code == 0

@@ -1,4 +1,7 @@
+import random
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +12,7 @@ from a2bundle.fields import (
     FieldElem,
     PrimeField,
     QuotientExtension,
+    _rational_roots_exist,
 )
 
 F11 = PrimeField(11)
@@ -74,6 +78,73 @@ def test_extension_rejects_reducible_and_big():
         QuotientExtension((Fraction(2), Fraction(0), Fraction(0), Fraction(0), Fraction(1)))
     # t^3 - 2 is fine
     QuotientExtension((Fraction(-2), Fraction(0), Fraction(0), Fraction(1)))
+
+
+def _roots_by_scan(coeffs):
+    """Rational root theorem by trial division: the oracle for small inputs."""
+    if coeffs[0] == 0:
+        return True
+    den = lcm(*[c.denominator for c in coeffs])
+    ints = [int(c * den) for c in coeffs]
+    a0, an = abs(ints[0]), abs(ints[-1])
+
+    def divisors(n):
+        out = []
+        d = 1
+        while d * d <= n:
+            if n % d == 0:
+                out.append(d)
+                out.append(n // d)
+            d += 1
+        return out
+
+    for p in divisors(a0):
+        for q in divisors(an):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                acc = Fraction(0)
+                for c in reversed(ints):
+                    acc = acc * cand + c
+                if acc == 0:
+                    return True
+    return False
+
+
+def test_rational_roots_agree_with_the_scan():
+    rng = random.Random(7)
+    small = lambda: Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+    found = {2: 0, 3: 0}
+    for _ in range(3000):
+        deg = rng.choice((2, 3))
+        lead = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        if rng.random() < 0.5:
+            # plant a rational root so both answers occur often
+            r = small()
+            rest = [small() for _ in range(deg - 1)] + [lead]
+            coeffs = [Fraction(0)] * (deg + 1)
+            for i, c in enumerate(rest):  # (t - r) * rest
+                coeffs[i + 1] += c
+                coeffs[i] -= r * c
+        else:
+            coeffs = [small() for _ in range(deg)] + [lead]
+        monic = tuple(c / coeffs[-1] for c in coeffs)
+        expect = _roots_by_scan(monic)
+        assert _rational_roots_exist(monic) == expect, monic
+        found[deg] += expect
+    assert min(found.values()) > 100
+
+
+def test_extension_with_huge_constants_is_decided_fast():
+    c = 10 ** 30 + 1  # 31 digits; neither a square nor a cube
+    t0 = time.perf_counter()
+    QuotientExtension((Fraction(-c), Fraction(0), Fraction(1)))
+    QuotientExtension((Fraction(-c), Fraction(3), Fraction(0), Fraction(1)))
+    QuotientExtension((Fraction(-c), Fraction(0), Fraction(0), Fraction(1)))
+    assert time.perf_counter() - t0 < 1.0
+    r = 10 ** 20
+    with pytest.raises(BadFieldSpec):  # (t - 10^20)(t^2 + 1)
+        QuotientExtension((Fraction(-r), Fraction(1), Fraction(-r), Fraction(1)))
+    with pytest.raises(BadFieldSpec):  # t^2 - 10^40
+        QuotientExtension((Fraction(-r * r), Fraction(0), Fraction(1)))
 
 
 def test_extension_inverse():

@@ -15,6 +15,9 @@ by the interpreter and are exempt.
 
 The benchmark's tracer (``perfbench/layers.py``) wraps library functions and
 methods by name, so those names must stay defined as well.
+
+Only ``poly.py`` touches the term store of a ``MultiPoly``: no other module
+reads an attribute named ``terms`` or passes ``_clean=``.
 """
 
 import ast
@@ -77,6 +80,17 @@ def test_no_unused_relative_imports(path):
 def test_no_unused_module_level_imports(path):
     _assert_all_read(path, lambda tree: [
         n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))])
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "poly.py"],
+                         ids=lambda p: p.name)
+def test_term_store_stays_inside_poly(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = [f"line {node.lineno}: .terms" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "terms"]
+    hits += [f"line {node.value.lineno}: _clean=" for node in ast.walk(tree)
+             if isinstance(node, ast.keyword) and node.arg == "_clean"]
+    assert not hits, f"{path.name} reaches into MultiPoly terms: {', '.join(hits)}"
 
 
 def _references(tree):
