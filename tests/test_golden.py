@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from a2bundle import poly
 from a2bundle.cli import main
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -34,3 +35,19 @@ def test_verify_all_matches_golden_digest(field):
         rc = main(["verify", "all", "--field", field, "--format", "json"])
     assert rc == 0
     assert _digest(json.loads(buf.getvalue())) == golden[field]
+
+
+def test_lemma44_multiplies_on_packed_keys(monkeypatch):
+    """The digests above cover the packed-key products only if a verify run
+    makes some; ``lemma44``'s quadratic descent does."""
+    pairs = []
+    convolve = poly._convolve
+
+    def counting(a, b):
+        pairs.append(len(a) * len(b))
+        return convolve(a, b)
+
+    monkeypatch.setattr(poly, "_convolve", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "lemma44", "--field", "fp:11"]) == 0
+    assert max(pairs) >= poly.PACK_PAIRS

@@ -4,6 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from a2bundle import poly
 from a2bundle.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -222,6 +223,75 @@ def test_integer_kernel_matches_generic_fixed_extensions(field):
     assert_kernel_matches_oracle(q, p + q)
 
 
+# exponents near -2^40, 0 and 2^40: wide bit fields, and products that collide
+big_exps = st.tuples(st.sampled_from([-2 ** 40, 0, 2 ** 40]),
+                     st.integers(-2, 2)).map(sum)
+
+
+def packed_polys(field, cs, held):
+    """24 to 40 terms, so a product has at least 576 pairs; the last variable
+    has exponent ``held`` in every term, which gives it a zero-width field."""
+    exps = st.tuples(big_exps, big_exps, st.just(held))
+    return polys_over(T3, field, nonzero(field, cs), exps, min_size=24, max_size=40)
+
+
+@pytest.mark.parametrize("field, cs", [(QQ, coeffs), (F11, f11_coeffs),
+                                       (EXT_I, ext_coeffs)],
+                         ids=["q", "fp:11", "ext:t^2+1"])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_packed_kernel_matches_generic(field, cs, data):
+    p = data.draw(packed_polys(field, cs, 3))
+    q = data.draw(packed_polys(field, cs, -5))
+    assert len(p) * len(q) >= poly.PACK_PAIRS
+    assert_kernel_matches_oracle(p, q)
+
+
+@pytest.mark.parametrize("field", [QQ, F11, EXT_I], ids=["q", "fp:11", "ext:t^2+1"])
+def test_packed_threshold_boundary(monkeypatch, field):
+    def c(k):
+        return field.coerce((Fraction(k, 3), Fraction(1 - k)) if field is EXT_I else k % 10 + 1)
+
+    for m, n in ((7, 73), (16, 32)):  # 511 and 512 pairs
+        p = MultiPoly(T3, field, {(i, i % 3 - 1, -i): c(i) for i in range(m)})
+        q = MultiPoly(T3, field, {(j % 5, -j, j % 2): c(j + 2) for j in range(n)})
+        assert_kernel_matches_oracle(p, q)
+        for threshold in (m * n, m * n + 1):  # packed keys, then tuple keys
+            monkeypatch.setattr(poly, "PACK_PAIRS", threshold)
+            assert_kernel_matches_oracle(p, q)
+        monkeypatch.undo()
+
+
+def big(k):
+    """A 40-digit fraction."""
+    return Fraction(3 ** 83 + k, 7 ** 47 - k)
+
+
+@pytest.mark.parametrize("field", [EXT_CBRT2, EXT_5], ids=["ext:t^3-2", "ext:5t^2-1"])
+def test_packed_extension_width(field):
+    d = field.degree
+    x = MultiPoly.var(T2, field, "x")
+    y = MultiPoly.var(T2, field, "y")
+    u = tuple(big(i) for i in range(d))
+    w = tuple(-big(i + 5) for i in range(d))
+    # (u*x + u*y)(w*x - w*y): the xy components cancel to 0 in Z[t]
+    p, q = x.scale(u) + y.scale(u), x.scale(w) - y.scale(w)
+    assert_kernel_matches_oracle(p, q)
+    assert (1, 1) not in (p * q).terms
+    # every component of every pair is M * -N: the x^(k-1) output sums k pairs
+    # of d products each, so its middle component is the most negative value
+    # the packing width allows for
+    m, n = big(0), big(1)
+    for k in (3, 23):  # 9 pairs on tuple keys, 529 on packed keys
+        p = sum((x ** i).scale((m,) * d) for i in range(k))
+        q = sum((x ** j).scale((-n,) * d) for j in range(k))
+        assert_kernel_matches_oracle(p, q)
+        width, _, ai, bi = poly._pack_vectors(p.terms, q.terms, d)
+        comps = [c for s in poly._convolve(ai, bi).values()
+                 for c in poly._digits(s, width, 2 * d - 1)]
+        assert min(comps) == -m.numerator * n.numerator * d * k
+
+
 @pytest.mark.parametrize("field", [QQ, F11, EXT_I], ids=["q", "fp:11", "ext:t^2+1"])
 def test_monomial_by_one_matches_multiply(field):
     c = field.coerce((Fraction(2, 3), Fraction(5)) if field is EXT_I else 7)
@@ -235,6 +305,28 @@ def test_monomial_by_one_matches_multiply(field):
             assert got == want
             assert list(got) == list(want)
             assert all(type(v) is type(field.one) for v in got.values())
+
+
+@pytest.mark.parametrize("field", [QQ, F11, EXT_I], ids=["q", "fp:11", "ext:t^2+1"])
+def test_monomial_power_scales_exponents(monkeypatch, field):
+    want = []
+    for c in (field.coerce((Fraction(2, 3), Fraction(5)) if field is EXT_I else 7),
+              field.one):
+        m = MultiPoly.monomial(T3, field, (2, -1, 3), c)
+        for n in (1, 2, 5, -1, -3):
+            base = c if n > 0 else field.inv(c)
+            coeff = base
+            for _ in range(abs(n) - 1):
+                coeff = field.mul(coeff, base)
+            want.append((m, n, {(2 * n, -n, 3 * n): coeff}))
+    calls = []
+    monkeypatch.setattr(MultiPoly, "_mul_monomial",
+                        lambda self, mono: calls.append(mono))
+    for m, n, terms in want:
+        got = (m ** n).terms
+        assert got == terms
+        assert all(type(v) is type(field.one) for v in got.values())
+    assert calls == []
 
 
 def test_pow_negative_monomial():
