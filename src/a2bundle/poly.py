@@ -20,8 +20,8 @@ one ``Fraction``, or one vector reduced mod m in integers with one
 ``Fraction`` per component. Products of at least :data:`PACK_PAIRS` term pairs also pack
 their exponent tuples into ints inside the convolution.
 
-Exact division keeps its remainder in one dictionary and finds each leading
-term by popping a heap.
+Exact division by a single term, a unit of the Laurent ring, is a shift; by
+any other divisor it keeps one remainder dictionary and pops a heap.
 
 Substitution never raises an image to a power. A single-term image acts on
 each term's exponents and coefficient directly. The terms are then grouped
@@ -655,26 +655,25 @@ def _horner(groups, images, target, field):
 def divide_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     """Exact division of Laurent polynomials; raises NotDivisible otherwise.
 
-    Strategy: strip the per-variable monomial content off both operands so
-    they become honest polynomials, run leading-term long division under the
-    graded order, and re-apply the content shift (which may be negative) to
-    the quotient. Because the graded order is multiplicative, exactness
-    guarantees every intermediate leading term is divisible, so hitting a
-    non-divisible leading term is a proof of failure, not a search dead end.
+    A single-term divisor is a unit of the Laurent ring, and the quotient is
+    the shift ``num * den ** -1``. Otherwise: strip the per-variable monomial
+    content off both operands so they become honest polynomials, run
+    leading-term long division under the graded order, and re-apply the
+    content shift (which may be negative) to the quotient. Because the
+    graded order is multiplicative, exactness guarantees every intermediate
+    leading term is divisible, so hitting a non-divisible leading term is a
+    proof of failure, not a search dead end.
     """
     num._same_context(den)
     if den.is_zero():
         raise DivisionByZero("exact division by the zero polynomial")
     if num.is_zero():
         return MultiPoly.zero(num.table, num.field)
+    if len(den.terms) == 1:
+        return num * den ** -1
 
-    def content(p):
-        mins = None
-        for e in p.terms:
-            mins = e if mins is None else tuple(min(a, b) for a, b in zip(mins, e))
-        return mins
-
-    cn, cd = content(num), content(den)
+    # per-variable minimum exponent of each operand
+    cn, cd = (tuple(map(min, zip(*p.terms))) for p in (num, den))
     shift = tuple(a - b for a, b in zip(cn, cd))
     nn = num.shift_exponents(tuple(-x for x in cn))
     dd = den.shift_exponents(tuple(-x for x in cd))

@@ -65,18 +65,15 @@ SA, SB, SX, SY = sympy.symbols("a b x y")
 
 
 def glue_to_sympy(p):
-    out = 0
-    for exps, c in p.terms.items():
-        out += sympy.Rational(c) * SA**exps[0] * SB**exps[1] \
-            * SX**exps[2] * SY**exps[3]
-    return out
+    # one Add over all terms: summing them one by one is quadratic in sympy
+    return sympy.Add(*(sympy.Rational(c) * SA**exps[0] * SB**exps[1]
+                       * SX**exps[2] * SY**exps[3]
+                       for exps, c in p.terms.items()))
 
 
 def plane_to_sympy(p):
-    out = 0
-    for exps, c in p.terms.items():
-        out += sympy.Rational(c) * SA**exps[0] * SB**exps[1] * SX**exps[2]
-    return out
+    return sympy.Add(*(sympy.Rational(c) * SA**exps[0] * SB**exps[1] * SX**exps[2]
+                       for exps, c in p.terms.items()))
 
 
 def assert_consistent_by_sympy(cert):
@@ -229,6 +226,49 @@ def test_certify_rejects_chart_escape():
     bad = c11.alpha_word + (Triangular("y", gpoly("b^-1*x")),)
     with pytest.raises(MembershipError, match="leaves the ring"):
         certify(c11.omega, bad, c11.beta_word)
+
+
+def test_certify_rejects_tampered_chart_difference(monkeypatch):
+    # tau_b gains a term that keeps it in the b-chart ring while the composite
+    # that finds f is left alone: only the final f(omega) check can catch it
+    cert = basic_bivariable(1, 2)
+    real = bivariable.flatten
+    seen = []
+
+    def tampered(word, *args, **kw):
+        flat = real(word, *args, **kw)
+        if word == cert.beta_word and kw.get("start") is None:
+            flat.comps["y"] = flat.comps["y"] + gpoly("x")
+            seen.append("b-chart")
+        elif kw.get("start") is not None:
+            seen.append("composite")
+        return flat
+
+    monkeypatch.setattr(bivariable, "flatten", tampered)
+    with pytest.raises(ShapeError, match="do not differ by f\\(omega\\)"):
+        certify(cert.omega, cert.alpha_word, cert.beta_word)
+    assert seen == ["b-chart", "composite"]
+
+
+CERT_BUILDERS = {
+    "basic(1,2)": lambda F: basic_bivariable(1, 2, field=F),
+    "ex66": ex66_bivariable,
+    "p_shift(z^2+z)": lambda F: p_shift_bivariable(zpoly("z^2 + z", F)),
+    "lemma44(z^2)": lambda F: lemma44_bivariable(zpoly("z^2", F)),
+}
+
+
+@pytest.mark.parametrize("descriptor", ["q", "fp:11", "ext:t^2+1"])
+@pytest.mark.parametrize("name", list(CERT_BUILDERS))
+def test_certify_f_on_line_matches_full_composite(name, descriptor):
+    # the full composite alpha o beta^{-1}, with both variables free, fixes x
+    # and shifts y by exactly the f that certify read on the line y = 0
+    F = field_from_descriptor(descriptor)
+    cert = CERT_BUILDERS[name](F)
+    comp = flatten(invert(cert.beta_word) + cert.alpha_word, GLUE, F, ("a", "b"))
+    assert comp.comps["x"] == MultiPoly.var(GLUE, F, "x")
+    shift = comp.comps["y"] - MultiPoly.var(GLUE, F, "y")
+    assert cert.f.f == substitute(shift, {}, into=PLANE, field=F)
 
 
 # ------------------------------------------------------------ extension moves

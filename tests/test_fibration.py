@@ -52,11 +52,10 @@ SX, SY, SZ, SU = sympy.symbols("x y z u")
 
 
 def chart_to_sympy(p):
-    out = 0
-    for exps, c in p.terms.items():
-        out += sympy.Rational(c) * SX**exps[0] * SY**exps[1] \
-            * SZ**exps[2] * SU**exps[3]
-    return out
+    # one Add over all terms: summing them one by one is quadratic in sympy
+    return sympy.Add(*(sympy.Rational(c) * SX**exps[0] * SY**exps[1]
+                       * SZ**exps[2] * SU**exps[3]
+                       for exps, c in p.terms.items()))
 
 
 def composed_by_oracle(p_str, n):
@@ -163,9 +162,8 @@ def test_transition_formula_against_sympy_oracle():
         f_oracle = x / (a * bb**2) - (bb**m - (a**n * x)**m) \
             / (bb - a**n * x) / (a * bb**m) * P.as_expr().subs(SZ, x / a)
         f = transition_formula(spec(p_str, n), m)
-        mine = 0
-        for exps, c in f.terms.items():
-            mine += sympy.Rational(c) * a**exps[0] * bb**exps[1] * x**exps[2]
+        mine = sympy.Add(*(sympy.Rational(c) * a**exps[0] * bb**exps[1] * x**exps[2]
+                           for exps, c in f.terms.items()))
         assert sympy.simplify(mine - f_oracle) == 0
 
 

@@ -52,10 +52,8 @@ sub_polys = st.dictionaries(sub_exps2, coeffs, max_size=4).map(lambda d: mk(T2, 
 
 def to_sympy(p, syms):
     x, y = syms
-    acc = sympy.Integer(0)
-    for (i, j), c in p.terms.items():
-        acc += sympy.Rational(c) * x**i * y**j
-    return acc
+    return sympy.Add(*(sympy.Rational(c) * x**i * y**j
+                       for (i, j), c in p.terms.items()))
 
 
 def from_sympy(expr, table, syms):
@@ -475,6 +473,36 @@ def test_divide_exact_roundtrip_laurent(field, cs, data):
     if q.is_zero():
         return
     assert divide_exact(p * q, q) == p
+
+
+def non_unit_coeffs(field, cs):
+    return cs.map(field.coerce).filter(lambda c: not field.is_zero(c) and c != field.one)
+
+
+@pytest.mark.parametrize("field, cs", [(QQ, coeffs), (F11, f11_coeffs),
+                                       (EXT_I, ext_coeffs)],
+                         ids=["q", "fp:11", "ext:t^2+1"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_divide_exact_by_monomial_is_a_shift(field, cs, data):
+    num = data.draw(laurent_polys(field, cs, max_size=8))
+    e = data.draw(st.tuples(st.integers(-4, -1), st.integers(1, 6)))
+    if data.draw(st.booleans()):
+        e = e[::-1]
+    den = MultiPoly.monomial(T2, field, e, data.draw(non_unit_coeffs(field, cs)))
+    want = num * den ** -1
+
+    def no_heap(heap):
+        raise AssertionError("a single-term divisor reached the heap")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "heapify", no_heap)
+        got = divide_exact(num, den)
+    assert got.terms == want.terms
+    assert [type(c) for c in got.terms.values()] == \
+        [type(c) for c in want.terms.values()]
+    assert all(type(c) is type(field.one) for c in got.terms.values())
+    assert got * den == num
 
 
 @pytest.mark.parametrize("field", [QQ, F11, EXT_I], ids=["q", "fp:11", "ext:t^2+1"])
