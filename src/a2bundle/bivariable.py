@@ -81,12 +81,12 @@ BLOWUP = RING_ALL.allow_negative("a", "b").require_sum(("a", "b"))
 
 def to_glue(p: MultiPoly) -> MultiPoly:
     """Re-table a polynomial over the four glueing variables."""
-    return substitute(p, {}, into=GLUE, field=p.field)
+    return substitute(p, {}, into=GLUE)
 
 
 def to_plane(p: MultiPoly) -> MultiPoly:
     """Re-table a ``y``-free polynomial over the punctured-plane table."""
-    return substitute(p, {}, into=PLANE, field=p.field)
+    return substitute(p, {}, into=PLANE)
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ def certify(omega: MultiPoly, alpha_word, beta_word) -> BivariableCert:
     check_membership(flat_a, RING_A)
     check_membership(flat_b, RING_B)
 
-    on_line = {n: MultiPoly.var(GLUE, F, n) for n in BASE + ("x",)}
+    on_line = dict(zip(GLUE.names, MultiPoly.gens(GLUE, F)))
     on_line["y"] = MultiPoly.zero(GLUE, F)
     start = PolyMap(GLUE, F, BASE, on_line, MultiPoly.const(GLUE, F, 1))
     shift = flatten(invert(beta_word) + alpha_word, GLUE, F, BASE,
@@ -190,7 +190,7 @@ def certify(omega: MultiPoly, alpha_word, beta_word) -> BivariableCert:
     f_plane = to_plane(shift)
     tf = TransitionFunction.from_poly(f_plane)
     tau_a, tau_b = flat_a.comps["y"], flat_b.comps["y"]
-    glued = substitute(f_plane, {"x": omega}, into=GLUE, field=F)
+    glued = substitute(f_plane, {"x": omega}, into=GLUE)
     if tau_a - tau_b - glued:
         raise ShapeError(
             "second coordinates do not differ by f(omega); words are "
@@ -215,15 +215,12 @@ def basic_bivariable(m: int, n: int, field: FieldSpec = QQ) -> BivariableCert:
     induced glueing function is ``x/(a^m*b^n)``.
     """
     _positive(m=m, n=n)
-    F = field
-    y = MultiPoly.var(GLUE, F, "y")
-    a_m = MultiPoly.var(GLUE, F, "a", m)
-    b_n = MultiPoly.var(GLUE, F, "b", n)
+    a, b, x, y = MultiPoly.gens(GLUE, field)
+    a_m, b_n = a ** m, b ** n
     alpha = (Scale("x", a_m), Triangular("x", b_n * y), Scale("y", a_m ** -1))
     beta = (Permute({"x": "y", "y": "x"}), Scale("x", b_n),
             Triangular("x", a_m * y), Scale("y", -(b_n ** -1)))
-    omega = a_m * MultiPoly.var(GLUE, F, "x") + b_n * y
-    return certify(omega, alpha, beta)
+    return certify(a_m * x + b_n * y, alpha, beta)
 
 
 def with_constant(m: int, n: int, shift: MultiPoly) -> BivariableCert:
@@ -254,11 +251,7 @@ def ex66_bivariable(field: FieldSpec = QQ) -> BivariableCert:
     function is ``(a + b)*x/(a^2*b^2)``, whose numerator vanishes nowhere on
     the punctured base plane even though it is not a monomial.
     """
-    F = field
-    a = MultiPoly.var(GLUE, F, "a")
-    b = MultiPoly.var(GLUE, F, "b")
-    x = MultiPoly.var(GLUE, F, "x")
-    y = MultiPoly.var(GLUE, F, "y")
+    a, b, x, y = MultiPoly.gens(GLUE, field)
     omega = a ** 2 * x + (b - a) * y
     alpha = (Scale("x", a ** 2), Triangular("x", (b - a) * y),
              Scale("y", a ** -2))
@@ -291,7 +284,7 @@ def _extend(cert: BivariableCert, side: str, m: int, n: int, Q: MultiPoly
     cert.f.require_cleared_by(m, n)
     q = _univariate_payload(Q, "extension payload Q")
     s = MultiPoly.var(GLUE, F, side)
-    y = MultiPoly.var(GLUE, F, "y")
+    *_, y = MultiPoly.gens(GLUE, F)
     k, tau = (m, cert.tau_a) if side == "a" else (n, cert.tau_b)
     sk = s ** k
 
@@ -348,8 +341,8 @@ def p_shift_bivariable(P: MultiPoly) -> BivariableCert:
     P = _univariate_in_z(P)
     F = P.field
     base = basic_bivariable(1, 2, field=F)
-    x = MultiPoly.var(GLUE, F, "x")
-    q = substitute(P, {"z": -x}, into=GLUE, field=F)
+    _, _, x, _ = MultiPoly.gens(GLUE, F)
+    q = substitute(P, {"z": -x}, into=GLUE)
     return extend_b(base, 1, 2, q)
 
 
@@ -385,8 +378,7 @@ def _descend(P: MultiPoly, b: CheckBuilder) -> BivariableCert:
     inv2c = F.inv(F.mul(F.coerce(2), c))
 
     cert = p_shift_bivariable(P)
-    a = MultiPoly.var(GLUE, F, "a")
-    x = MultiPoly.var(GLUE, F, "x")
+    a, _, x, _ = MultiPoly.gens(GLUE, F)
     hat = extend_a(cert, 3, 2, (a * x).scale(inv2c))
     b.expect("descent-constructs", True)
 
@@ -513,20 +505,16 @@ def verify_basic_family(pairs=((1, 1), (1, 2), (2, 3)),
     """Monomial-denominator certificates: frozen element, chart seconds and
     glueing function for each exponent pair."""
     b = CheckBuilder("ex35", pairs=list(pairs), field=field.descriptor())
+    a, bb, x, y = MultiPoly.gens(GLUE, field)
+    ax, bx, fx = MultiPoly.gens(PLANE, field)
     for m, n in pairs:
         cert = basic_bivariable(m, n, field=field)
-        am = MultiPoly.var(GLUE, field, "a", m)
-        bn = MultiPoly.var(GLUE, field, "b", n)
-        x = MultiPoly.var(GLUE, field, "x")
-        y = MultiPoly.var(GLUE, field, "y")
-        fx = MultiPoly.var(PLANE, field, "x")
+        am, bn = a ** m, bb ** n
         b.expect_zero(f"element[{m},{n}]", cert.omega - (am * x + bn * y))
         b.expect_zero(f"a-second[{m},{n}]", cert.tau_a - am ** -1 * y)
         b.expect_zero(f"b-second[{m},{n}]", cert.tau_b + bn ** -1 * x)
-        b.expect_zero(
-            f"glueing[{m},{n}]",
-            cert.f.f - fx * MultiPoly.var(PLANE, field, "a", -m)
-            * MultiPoly.var(PLANE, field, "b", -n))
+        b.expect_zero(f"glueing[{m},{n}]",
+                      cert.f.f - fx * ax ** -m * bx ** -n)
     b.witness(family="a^m*x + b^n*y")
     return b.done()
 
@@ -537,14 +525,12 @@ def verify_constant_shift(samples=((1, 1, "a"), (2, 1, "1 + a*b"),
     """Base-constant shifts: glueing function ``(x - c)/(a^m*b^n)``."""
     b = CheckBuilder("ex312", samples=[f"({m},{n},{c})" for m, n, c in samples],
                      field=field.descriptor())
+    ax, bx, fx = MultiPoly.gens(PLANE, field)
     for m, n, c_text in samples:
         c = parse(c_text, PLANE, field)
         cert = with_constant(m, n, c)
-        fx = MultiPoly.var(PLANE, field, "x")
-        mono = (MultiPoly.var(PLANE, field, "a", -m)
-                * MultiPoly.var(PLANE, field, "b", -n))
         b.expect_zero(f"glueing[{m},{n},{c_text}]",
-                      cert.f.f - (fx - c) * mono)
+                      cert.f.f - (fx - c) * (ax ** -m * bx ** -n))
     return b.done()
 
 
@@ -553,22 +539,17 @@ def verify_p_shift(p_texts=("z^2", "z^2 + z", "z^3 + 2*z"),
     """The ``a*x + b^2*y + b*P(x)`` family: frozen element, frozen b-chart
     second coordinate, and glueing function ``x/(a*b^2) - P(x/a)/(a*b)``."""
     b = CheckBuilder("ex43", P=list(p_texts), field=field.descriptor())
+    a, bb, x, y = MultiPoly.gens(GLUE, field)
+    ax, bx, fx = MultiPoly.gens(PLANE, field)
     for p_text in p_texts:
         P = parse(p_text, PVAR, field)
         cert = p_shift_bivariable(P)
-        a = MultiPoly.var(GLUE, field, "a")
-        bb = MultiPoly.var(GLUE, field, "b")
-        x = MultiPoly.var(GLUE, field, "x")
-        y = MultiPoly.var(GLUE, field, "y")
-        p_x = substitute(P, {"z": x}, into=GLUE, field=field)
+        p_x = substitute(P, {"z": x}, into=GLUE)
         b.expect_zero(f"element[{p_text}]",
                       cert.omega - (a * x + bb ** 2 * y + bb * p_x))
         b.expect_zero(f"b-second[{p_text}]", cert.tau_b + bb ** -2 * x)
 
-        ax = MultiPoly.var(PLANE, field, "a")
-        bx = MultiPoly.var(PLANE, field, "b")
-        fx = MultiPoly.var(PLANE, field, "x")
-        p_over_a = substitute(P, {"z": fx * ax ** -1}, into=PLANE, field=field)
+        p_over_a = substitute(P, {"z": fx * ax ** -1}, into=PLANE)
         closed = fx * ax ** -1 * bx ** -2 - p_over_a * ax ** -1 * bx ** -1
         b.expect_zero(f"glueing[{p_text}]", cert.f.f - closed)
     return b.done()
@@ -591,18 +572,12 @@ def verify_mixed_denominator(field: FieldSpec = QQ) -> CheckResult:
     """The ``a^2*x + (b - a)*y`` certificate with its frozen glueing data."""
     b = CheckBuilder("ex66", field=field.descriptor())
     cert = ex66_bivariable(field=field)
-    F = field
-    a = MultiPoly.var(GLUE, F, "a")
-    bb = MultiPoly.var(GLUE, F, "b")
-    x = MultiPoly.var(GLUE, F, "x")
-    y = MultiPoly.var(GLUE, F, "y")
+    a, bb, x, y = MultiPoly.gens(GLUE, field)
     b.expect_zero("element", cert.omega - (a ** 2 * x + (bb - a) * y))
     b.expect_zero("a-second", cert.tau_a - a ** -2 * y)
     b.expect_zero("b-second",
                   cert.tau_b - (bb ** -2 * y - bb ** -2 * (a + bb) * x))
-    ax = MultiPoly.var(PLANE, F, "a")
-    bx = MultiPoly.var(PLANE, F, "b")
-    fx = MultiPoly.var(PLANE, F, "x")
+    ax, bx, fx = MultiPoly.gens(PLANE, field)
     b.expect_zero("glueing",
                   cert.f.f - (ax + bx) * fx * ax ** -2 * bx ** -2)
     b.witness(element=str(cert.omega), glueing=str(cert.f.f))

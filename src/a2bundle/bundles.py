@@ -23,7 +23,10 @@ bundle (see :mod:`.fibration`) and the certificates of :mod:`.bivariable`:
 * :func:`verify_geometric_ladder` replays the one-denominator family
   ``f_m`` through a single certificate: identity at the first rung,
   blow-up-ring membership at every rung, and the closed form of the ladder
-  difference.
+  difference;
+* :func:`congruence_data` builds the inputs of the three named
+  congruence-move samples ``ex46``-``ex48``, which
+  :func:`verify_congruence_move` runs through :func:`prop45_check`.
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ __all__ = [
     "hypersurface_embed", "lemma62_variable", "prop63_membership",
     "verify_geometric_ladder", "verify_congruence_move",
     "verify_hypersurface_samples", "verify_intersection_samples",
-    "ex47_field", "ex46_data", "ex47_data", "ex48_data",
+    "ex47_field", "congruence_data",
 ]
 
 #: base pair plus the three hypersurface coordinates ``x, u, v``
@@ -87,7 +90,7 @@ FIVE = VarTable(("a", "b", "x", "u", "v"), laurent=("a", "b"))
 
 
 def _to_five(p: MultiPoly) -> MultiPoly:
-    return substitute(p, {}, into=FIVE, field=p.field)
+    return substitute(p, {}, into=FIVE)
 
 
 # ------------------------------------------------------- chart equivalence
@@ -166,8 +169,7 @@ def prop45_check(f_b: MultiPoly, g_b: MultiPoly, m: int, Q: MultiPoly,
     F = f_b.field
     b = CheckBuilder(check_id, f_b=f_b, g_b=g_b, m=m, Q=Q,
                      field=F.descriptor())
-    x = MultiPoly.var(PLANE, F, "x")
-    a = MultiPoly.var(PLANE, F, "a")
+    a, _, x = MultiPoly.gens(PLANE, F)
     moved = x + a * substitute(Q, {"x": f_b})
     diff = substitute(g_b, {"x": moved}) - f_b
     cong = congruent_mod_power(diff, MultiPoly.zero(PLANE, F), "a", m)
@@ -176,11 +178,10 @@ def prop45_check(f_b: MultiPoly, g_b: MultiPoly, m: int, Q: MultiPoly,
         return b.done()
 
     qg, fg, gg = to_glue(Q), to_glue(f_b), to_glue(g_b)
-    ag = MultiPoly.var(GLUE, F, "a")
-    yg = MultiPoly.var(GLUE, F, "y")
+    ag, _, _, yg = MultiPoly.gens(GLUE, F)
     block = Lemma41Block("x", "y", ag, m, qg, fg, gg)
     pull_out = Triangular("x", -(ag * substitute(qg, {"x": ag ** m * yg})))
-    am_inv = MultiPoly.var(GLUE, F, "a", -m)
+    am_inv = ag ** -m
 
     blk = flatten((block,), GLUE, F, BASE)
     lhs = flatten((Triangular("y", gg * am_inv), pull_out), GLUE, F, BASE,
@@ -209,13 +210,15 @@ def prop45_search(f_b: MultiPoly, g_b: MultiPoly, m: int, deg_bound: int,
     order, constant coefficient varying slowest).  Stage ``k`` keeps the
     candidates whose congruence holds mod ``a^k``; survivors of stage ``m``
     are confirmed with the full check.  Returns the first confirmed ``Q``
-    or ``None``.
+    or ``None``; a negative ``deg_bound`` raises
+    :class:`PreconditionViolated`.
     """
     _chart_b_univariate(f_b, "f_b")
     _chart_b_univariate(g_b, "g_b")
+    if deg_bound < 0:
+        raise PreconditionViolated(f"deg_bound must be >= 0, got {deg_bound}")
     F = f_b.field
-    x = MultiPoly.var(PLANE, F, "x")
-    a = MultiPoly.var(PLANE, F, "a")
+    a, _, x = MultiPoly.gens(PLANE, F)
     coeffs = []
     for c in pool:
         raw = F.coerce(c)
@@ -288,7 +291,7 @@ def classify(tf: TransitionFunction) -> TrivialityVerdict:
     F = tf.f.field
     m, n = tf.m_min, tf.n_min
     fg = to_glue(tf.f)
-    xg = MultiPoly.var(GLUE, F, "x")
+    _, _, xg, _ = MultiPoly.gens(GLUE, F)
     if m == 0 or n == 0:
         # the shift rides on the word of the chart where f is regular
         words = (((), (Triangular("y", -fg),)) if m == 0
@@ -312,6 +315,22 @@ def classify(tf: TransitionFunction) -> TrivialityVerdict:
 # ------------------------------------------------- hypersurface realisation
 
 
+def _chart_maps(tf: TransitionFunction, m: int, n: int):
+    """The two chart maps onto ``a^m*u - b^n*v = P``, ``P = a^m*b^n*f``, as
+    ``u``/``v`` images over ``GLUE``:
+
+        phi = (b^n*y + P/a^m, a^m*y),   psi = (b^n*y, a^m*y - P/b^n).
+
+    Raises :class:`PreconditionViolated` unless ``P`` is a polynomial.
+    """
+    tf.require_cleared_by(m, n)
+    a, b, _, y = MultiPoly.gens(GLUE, tf.f.field)
+    p = to_glue(tf.f.shift_exponents((m, n, 0)))
+    phi = {"u": b ** n * y + a ** -m * p, "v": a ** m * y}
+    psi = {"u": b ** n * y, "v": a ** m * y - b ** -n * p}
+    return phi, psi
+
+
 def hypersurface_embed(tf: TransitionFunction, m: int, n: int) -> CheckResult:
     """Realise the bundle of ``tf`` on the hypersurface
     ``a^m*u - b^n*v = P`` with ``P = a^m*b^n*f``.
@@ -325,32 +344,23 @@ def hypersurface_embed(tf: TransitionFunction, m: int, n: int) -> CheckResult:
     crossing from one to the other shifts ``y`` by exactly ``f``.
     """
     F = tf.f.field
-    tf.require_cleared_by(m, n)
     b = CheckBuilder("lemma61", f=tf.f, m=m, n=n, field=F.descriptor())
+    phi, psi = _chart_maps(tf, m, n)
     p_plane = tf.f.shift_exponents((m, n, 0))
-    p4, p5 = to_glue(p_plane), _to_five(p_plane)
-
-    a4 = MultiPoly.var(GLUE, F, "a")
-    b4 = MultiPoly.var(GLUE, F, "b")
-    y4 = MultiPoly.var(GLUE, F, "y")
-    phi = {"u": b4 ** n * y4 + a4 ** -m * p4, "v": a4 ** m * y4}
-    psi = {"u": b4 ** n * y4, "v": a4 ** m * y4 - b4 ** -n * p4}
-
-    a5 = MultiPoly.var(FIVE, F, "a")
-    b5 = MultiPoly.var(FIVE, F, "b")
-    u5 = MultiPoly.var(FIVE, F, "u")
-    v5 = MultiPoly.var(FIVE, F, "v")
+    p5 = _to_five(p_plane)
+    *_, y4 = MultiPoly.gens(GLUE, F)
+    a5, b5, _, u5, v5 = MultiPoly.gens(FIVE, F)
     eqn = a5 ** m * u5 - b5 ** n * v5 - p5
 
     b.expect_zero("a-chart-lands-on-hypersurface",
-                  substitute(eqn, phi, into=GLUE, field=F))
+                  substitute(eqn, phi, into=GLUE))
     b.expect_zero("b-chart-lands-on-hypersurface",
-                  substitute(eqn, psi, into=GLUE, field=F))
+                  substitute(eqn, psi, into=GLUE))
 
     b.expect_zero("a-chart-roundtrip",
-                  substitute(a5 ** -m * v5, phi, into=GLUE, field=F) - y4)
+                  substitute(a5 ** -m * v5, phi, into=GLUE) - y4)
     b.expect_zero("b-chart-roundtrip",
-                  substitute(b5 ** -n * u5, psi, into=GLUE, field=F) - y4)
+                  substitute(b5 ** -n * u5, psi, into=GLUE) - y4)
     # the inverse formulas recover the other fibre coordinate modulo the
     # defining equation (exactly: the discrepancy times the denominator
     # monomial is the equation itself)
@@ -360,7 +370,7 @@ def hypersurface_embed(tf: TransitionFunction, m: int, n: int) -> CheckResult:
     b.expect_zero("b-chart-inverse-relation",
                   b5 ** n * ((a5 ** m * u5 - p5) * b5 ** -n - v5) - eqn)
 
-    cross = substitute(b5 ** -n * u5, phi, into=GLUE, field=F)
+    cross = substitute(b5 ** -n * u5, phi, into=GLUE)
     b.expect_zero("chart-crossing-shifts-y-by-f", cross - y4 - to_glue(tf.f))
     b.witness(equation=f"a^{m}*u - b^{n}*v = {p_plane}")
     return b.done()
@@ -392,11 +402,7 @@ def lemma62_variable(P: MultiPoly, m: int, n: int):
     xi = p00.coefficient_in("x", 1).constant_value()
     mu = p00.coefficient_in("x", 0).constant_value()
 
-    a5 = MultiPoly.var(FIVE, F, "a")
-    b5 = MultiPoly.var(FIVE, F, "b")
-    x5 = MultiPoly.var(FIVE, F, "x")
-    u5 = MultiPoly.var(FIVE, F, "u")
-    v5 = MultiPoly.var(FIVE, F, "v")
+    a5, b5, x5, u5, v5 = MultiPoly.gens(FIVE, F)
     eqn = a5 ** m * u5 - b5 ** n * v5 - p5
 
     # affine normalisation: after it the equation pulls back to
@@ -449,23 +455,20 @@ def prop63_membership(tf: TransitionFunction, m: int, n: int) -> CheckResult:
     chart's polynomial ring -- on the nose, as ``b^n*y`` resp. ``a^m*y``.
     """
     F = tf.f.field
-    tf.require_cleared_by(m, n)
     b = CheckBuilder("prop63", f=tf.f, m=m, n=n, field=F.descriptor())
-    p4 = to_glue(tf.f.shift_exponents((m, n, 0)))
+    phi, psi = _chart_maps(tf, m, n)
     fg = to_glue(tf.f)
-    a4 = MultiPoly.var(GLUE, F, "a")
-    b4 = MultiPoly.var(GLUE, F, "b")
-    y4 = MultiPoly.var(GLUE, F, "y")
+    *_, y4 = MultiPoly.gens(GLUE, F)
 
-    gen_a = b4 ** n * y4 + a4 ** -m * p4
+    gen_a = phi["u"]
     b.expect("a-generator-in-a-chart", RING_A.contains(gen_a), str(gen_a))
     b.expect_zero("a-generator-crosses-to-b^n*y",
-                  substitute(gen_a, {"y": y4 - fg}) - b4 ** n * y4)
+                  substitute(gen_a, {"y": y4 - fg}) - psi["u"])
 
-    gen_b = a4 ** m * y4 - b4 ** -n * p4
+    gen_b = psi["v"]
     b.expect("b-generator-in-b-chart", RING_B.contains(gen_b), str(gen_b))
     b.expect_zero("b-generator-crosses-to-a^m*y",
-                  substitute(gen_b, {"y": y4 + fg}) - a4 ** m * y4)
+                  substitute(gen_b, {"y": y4 + fg}) - phi["v"])
     b.witness(a_generator=str(gen_a), b_generator=str(gen_b))
     return b.done()
 
@@ -494,12 +497,9 @@ def verify_geometric_ladder(p_text: str, rungs, field: FieldSpec = QQ) -> list:
                          field=F.descriptor())
     cert = p_shift_bivariable(P)
 
-    a4 = MultiPoly.var(GLUE, F, "a")
-    b4 = MultiPoly.var(GLUE, F, "b")
-    x4 = MultiPoly.var(GLUE, F, "x")
-    y4 = MultiPoly.var(GLUE, F, "y")
-    p_at_x = substitute(P, {"z": x4}, into=GLUE, field=F)
-    p_at_wa = substitute(P, {"z": cert.omega * a4 ** -1}, into=GLUE, field=F)
+    a4, b4, x4, y4 = MultiPoly.gens(GLUE, F)
+    p_at_x = substitute(P, {"z": x4}, into=GLUE)
+    p_at_wa = substitute(P, {"z": cert.omega * a4 ** -1}, into=GLUE)
     a_display = cert.tau_a - (y4 * a4 ** -1
                               + (p_at_x - p_at_wa) * a4 ** -1 * b4 ** -1)
     b_display = cert.tau_b + b4 ** -2 * x4
@@ -512,10 +512,8 @@ def verify_geometric_ladder(p_text: str, rungs, field: FieldSpec = QQ) -> list:
     ident = flatten((Triangular("y", to_glue(f1)),) + inv_a, GLUE, F, BASE,
                     start=flat_b)
     one = MultiPoly.const(GLUE, F, 1)
-    ax = MultiPoly.var(PLANE, F, "a")
-    bx = MultiPoly.var(PLANE, F, "b")
-    fx = MultiPoly.var(PLANE, F, "x")
-    p_over_a = substitute(P, {"z": fx * ax ** -1}, into=PLANE, field=F)
+    ax, bx, fx = MultiPoly.gens(PLANE, F)
+    p_over_a = substitute(P, {"z": fx * ax ** -1}, into=PLANE)
 
     results = []
     for n, m in rungs:
@@ -603,80 +601,54 @@ def _sqrt_inv5(F: FieldSpec):
     return None
 
 
-def _a3_times(f_plane: MultiPoly) -> MultiPoly:
-    return f_plane.shift_exponents((3, 0, 0))
+def congruence_data(which: str, field: FieldSpec | None = None):
+    """``(f_b, g_b, m, Q)`` of the named congruence-move sample, ``m = 3``.
 
+    Every sample perturbs the short two-term function
+    ``f3 = x/(a*b^2) - x^2/(a^3*b)`` (``P = z^2``, ``n = 3``) and clears
+    both sides by ``a^3``; the payload is ``Q = x/2``:
 
-def ex46_data(field: FieldSpec | None = None):
-    """Sample congruence move: the short two-term function against its
-    quartic perturbation, payload ``Q = x/2``."""
-    field = field or QQ
-    spec = FibrationSpec(parse("z^2", PVAR, field), 3)
-    f3 = formal_transition(spec, 1)
-    ax = MultiPoly.var(PLANE, field, "a")
-    bx = MultiPoly.var(PLANE, field, "b")
-    fx = MultiPoly.var(PLANE, field, "x")
-    g = (fx * ax ** -1 * bx ** -2 - fx ** 2 * ax ** -3 * bx ** -1
-         - fx ** 3 * ax ** -2 * bx ** -2
-         - (fx ** 4 * ax ** -1 * bx ** -3).scale(
-             field.div(field.coerce(5), field.coerce(4))))
-    q = fx.scale(field.inv(field.coerce(2)))
-    return _a3_times(f3), _a3_times(g), 3, q
+    * ``ex46``: ``f3`` against its quartic perturbation;
+    * ``ex47``: a cubic perturbation by ``xi`` with ``xi^2 = 1/5`` against
+      the one-step ladder function ``f3 - x^3/(a^2*b^2) - x^4/(a*b^3)``,
+      payload ``Q = (1 + xi)*x/2``; the field defaults to
+      :func:`ex47_field`;
+    * ``ex48``: a quartic perturbation against the ladder function.
 
-
-def ex47_data(field: FieldSpec | None = None):
-    """Sample congruence move needing a square root of 1/5: the one-step
-    ladder function against a cubic perturbation, payload
-    ``Q = (1 + xi)*x/2`` with ``xi^2 = 1/5``."""
-    F = field if field is not None else ex47_field()
-    xi = _sqrt_inv5(F)
-    if xi is None:
-        raise PreconditionViolated(
-            f"field {F} has no square root of 1/5")
-    spec = FibrationSpec(parse("z^2", PVAR, F), 1)
-    f1 = formal_transition(spec, 3)
-    ax = MultiPoly.var(PLANE, F, "a")
-    bx = MultiPoly.var(PLANE, F, "b")
-    fx = MultiPoly.var(PLANE, F, "x")
-    g = (fx * ax ** -1 * bx ** -2 - fx ** 2 * ax ** -3 * bx ** -1
-         + (fx ** 3 * ax ** -2 * bx ** -2).scale(xi))
-    half = F.inv(F.coerce(2))
-    q = fx.scale(F.mul(F.add(F.one, xi), half))
-    # orientation: the ladder function is evaluated at the moved variable
-    # and must come back congruent to the perturbed one
-    return _a3_times(g), _a3_times(f1), 3, q
-
-
-def ex48_data(field: FieldSpec | None = None):
-    """Sample congruence move: the four-term function against a quartic
-    perturbation, payload ``Q = x/2``."""
-    field = field or QQ
-    spec = FibrationSpec(parse("z^2", PVAR, field), 1)
-    f1 = formal_transition(spec, 3)
-    ax = MultiPoly.var(PLANE, field, "a")
-    bx = MultiPoly.var(PLANE, field, "b")
-    fx = MultiPoly.var(PLANE, field, "x")
-    g = (fx * ax ** -1 * bx ** -2 - fx ** 2 * ax ** -3 * bx ** -1
-         + (fx ** 4 * ax ** -1 * bx ** -3).scale(
-             field.inv(field.coerce(4))))
-    q = fx.scale(field.inv(field.coerce(2)))
-    # same orientation as the square-root sample: ladder at moved variable
-    return _a3_times(g), _a3_times(f1), 3, q
+    In ex47 and ex48 the ladder function is evaluated at the moved variable
+    and must come back congruent to the perturbed one.
+    """
+    if which not in ("ex46", "ex47", "ex48"):
+        raise PreconditionViolated(f"unknown congruence-move sample {which!r}")
+    F = field or (ex47_field() if which == "ex47" else QQ)
+    a, b, x = MultiPoly.gens(PLANE, F)
+    f3 = formal_transition(FibrationSpec(parse("z^2", PVAR, F), 3), 1)
+    cubic, quartic = x ** 3 * a ** -2 * b ** -2, x ** 4 * a ** -1 * b ** -3
+    ladder = f3 - cubic - quartic
+    c = F.inv(F.coerce(2))
+    if which == "ex46":
+        f_b, g_b = f3, f3 - cubic - quartic.scale(
+            F.div(F.coerce(5), F.coerce(4)))
+    elif which == "ex48":
+        f_b, g_b = f3 + quartic.scale(F.inv(F.coerce(4))), ladder
+    else:
+        xi = _sqrt_inv5(F)
+        if xi is None:
+            raise PreconditionViolated(f"field {F} has no square root of 1/5")
+        f_b, g_b = f3 + cubic.scale(xi), ladder
+        c = F.mul(F.add(F.one, xi), c)
+    a3 = (3, 0, 0)
+    return f_b.shift_exponents(a3), g_b.shift_exponents(a3), 3, x.scale(c)
 
 
 def verify_congruence_move(which: str, field: FieldSpec | None = None
                            ) -> CheckResult:
     """Run one of the named congruence-move samples."""
-    data = {"ex46": ex46_data, "ex47": ex47_data, "ex48": ex48_data}.get(which)
-    if data is None:
-        raise PreconditionViolated(f"unknown congruence-move sample {which!r}")
-    return prop45_check(*data(field), check_id=which)
+    return prop45_check(*congruence_data(which, field), check_id=which)
 
 
 def _sample_transitions(field: FieldSpec = QQ):
-    ax = MultiPoly.var(PLANE, field, "a")
-    bx = MultiPoly.var(PLANE, field, "b")
-    fx = MultiPoly.var(PLANE, field, "x")
+    ax, bx, fx = MultiPoly.gens(PLANE, field)
     f3 = formal_transition(FibrationSpec(parse("z^2", PVAR, field), 3), 1)
     f1 = formal_transition(FibrationSpec(parse("z^2", PVAR, field), 1), 3)
     return ((TransitionFunction.from_poly(fx * ax ** -1 * bx ** -1), 1, 1),
@@ -690,9 +662,7 @@ def verify_hypersurface_samples(field: FieldSpec = QQ) -> list[CheckResult]:
 
 
 def verify_intersection_samples(field: FieldSpec = QQ) -> list[CheckResult]:
-    ax = MultiPoly.var(PLANE, field, "a")
-    bx = MultiPoly.var(PLANE, field, "b")
-    fx = MultiPoly.var(PLANE, field, "x")
+    ax, bx, fx = MultiPoly.gens(PLANE, field)
     f1 = formal_transition(FibrationSpec(parse("z^2", PVAR, field), 1), 3)
     samples = ((TransitionFunction.from_poly(fx * ax ** -1 * bx ** -2), 1, 2),
                (TransitionFunction.from_poly(MultiPoly.zero(PLANE, field)),

@@ -193,7 +193,10 @@ def _parse_pool(text: str, field):
         chunk = chunk.strip()
         if not chunk:
             continue
-        vals.append(parse(chunk, PVAR, field).constant_value())
+        c = parse(chunk, PVAR, field)
+        if c.involves("z"):
+            raise AlgebraError(f"--pool entry {chunk!r} is not a constant")
+        vals.append(c.constant_value())
     if not vals:
         raise AlgebraError("--pool must list at least one coefficient")
     return vals

@@ -87,8 +87,7 @@ class FibrationSpec:
 
     def p_at(self, image: MultiPoly) -> MultiPoly:
         """P evaluated at a polynomial image (over the image's table)."""
-        return substitute(self.P, {"z": image}, into=image.table,
-                          field=self.field)
+        return substitute(self.P, {"z": image}, into=image.table)
 
 
 # ----------------------------------------------------------- the coordinate
@@ -104,13 +103,8 @@ def build_phi_word(spec: FibrationSpec, table: VarTable = CHART):
 
     an automorphism of ``k[x^(+-1), y, z, u]`` with Jacobian determinant 1.
     """
-    F = spec.field
-    x = MultiPoly.var(table, F, "x")
-    y = MultiPoly.var(table, F, "y")
-    z = MultiPoly.var(table, F, "z")
-    u = MultiPoly.var(table, F, "u")
+    x, y, z, u, *_ = MultiPoly.gens(table, spec.field)
     xinv = x ** -1
-    xn_z = MultiPoly.var(table, F, "x", spec.n) * z
     return (
         Scale("u", y),
         Triangular("u", spec.p_at(z)),
@@ -119,7 +113,7 @@ def build_phi_word(spec: FibrationSpec, table: VarTable = CHART):
         Scale("u", xinv),
         Triangular("u", -(xinv * spec.p_at(xinv * z))),
         Scale("u", y ** -1),
-        Triangular("y", xn_z),
+        Triangular("y", x ** spec.n * z),
     )
 
 
@@ -129,26 +123,23 @@ def build_phi(spec: FibrationSpec, table: VarTable = CHART) -> PolyMap:
 
 def build_omega(spec: FibrationSpec, table: VarTable = CHART) -> MultiPoly:
     """omega = x*z + y*(u*y + P(z)); also phi's third component."""
-    F = spec.field
-    x, y, z, u = (MultiPoly.var(table, F, n) for n in ("x", "y", "z", "u"))
+    x, y, z, u, *_ = MultiPoly.gens(table, spec.field)
     return x * z + y * (u * y + spec.p_at(z))
 
 
 def build_v(spec: FibrationSpec, table: VarTable = CHART) -> MultiPoly:
     """v = y + x^n * omega; completes x to a coordinate pair on 4-space."""
-    F = spec.field
-    y = MultiPoly.var(table, F, "y")
-    xn = MultiPoly.var(table, F, "x", spec.n)
-    return y + xn * build_omega(spec, table)
+    x, y, *_ = MultiPoly.gens(table, spec.field)
+    return y + x ** spec.n * build_omega(spec, table)
 
 
-def _u_image(spec: FibrationSpec, table: VarTable = CHART) -> MultiPoly:
-    """u/x + (P(z) - P(omega/x)) / (x*y), computed by exact division."""
-    F = spec.field
-    x, y, z, u = (MultiPoly.var(table, F, n) for n in ("x", "y", "z", "u"))
-    omega = build_omega(spec, table)
-    num = spec.p_at(z) - spec.p_at(x ** -1 * omega)
-    return u * x ** -1 + divide_exact(num, x * y)
+def _u_image(spec: FibrationSpec, omega: MultiPoly):
+    """``(R, P(omega/x))`` over ``omega``'s table, with
+    R = u/x + (P(z) - P(omega/x)) / (x*y) computed by exact division."""
+    x, y, z, u, *_ = MultiPoly.gens(omega.table, spec.field)
+    p_omega_x = spec.p_at(x ** -1 * omega)
+    num = spec.p_at(z) - p_omega_x
+    return u * x ** -1 + divide_exact(num, x * y), p_omega_x
 
 
 def verify_coordinate_facts(spec: FibrationSpec) -> CheckResult:
@@ -159,13 +150,14 @@ def verify_coordinate_facts(spec: FibrationSpec) -> CheckResult:
     word = build_phi_word(spec)
     flat = flatten(word, CHART, F, base=("x",))
 
-    x = MultiPoly.var(CHART, F, "x")
+    x, *_ = MultiPoly.gens(CHART, F)
     v = build_v(spec)
     omega = build_omega(spec)
     b.expect_zero("first-component-fixed", flat.comps["x"] - x)
     b.expect_zero("second-component-is-v", flat.comps["y"] - v)
     b.expect_zero("third-component-is-omega", flat.comps["z"] - omega)
-    b.expect_zero("fourth-component", flat.comps["u"] - _u_image(spec))
+    b.expect_zero("fourth-component",
+                  flat.comps["u"] - _u_image(spec, omega)[0])
     b.expect_zero("jacobian-chain-minus-1", flat.jac - 1)
     b.expect_zero("jacobian-matrix-minus-1", flat.jacobian_det() - 1)
     b.expect("word-times-inverse-is-identity",
@@ -203,14 +195,12 @@ def formal_transition(spec: FibrationSpec, m: int) -> MultiPoly:
     if m < 1:
         raise PreconditionViolated("glueing exponent m must be >= 1")
     F = spec.field
-    a = MultiPoly.var(PLANE, F, "a")
-    b = MultiPoly.var(PLANE, F, "b")
-    x = MultiPoly.var(PLANE, F, "x")
+    a, b, x = MultiPoly.gens(PLANE, F)
     p_xa = spec.p_at(x * a ** -1)
-    anx = MultiPoly.var(PLANE, F, "a", spec.n) * x
+    anx = a ** spec.n * x
     geo = MultiPoly.zero(PLANE, F)
     for k in range(m):
-        geo = geo + MultiPoly.var(PLANE, F, "b", m - 1 - k) * anx ** k
+        geo = geo + b ** (m - 1 - k) * anx ** k
     head = x * a ** -1 * b ** -2
     return head - (a ** -1 * b ** -m) * geo * p_xa
 
@@ -267,22 +257,16 @@ def transition_function(spec: FibrationSpec, m: int | None = None
 
 def closed_form_m1(spec: FibrationSpec) -> MultiPoly:
     """m = 1 (needs n > deg P):  f = x/(a*b^2) - P(x/a)/(a*b)."""
-    F = spec.field
-    a = MultiPoly.var(PLANE, F, "a")
-    b = MultiPoly.var(PLANE, F, "b")
-    x = MultiPoly.var(PLANE, F, "x")
+    a, b, x = MultiPoly.gens(PLANE, spec.field)
     return x * a ** -1 * b ** -2 - a ** -1 * b ** -1 * spec.p_at(x * a ** -1)
 
 
 def closed_form_m2(spec: FibrationSpec) -> MultiPoly:
     """m = 2 (needs 2n > deg P): the m = 1 shape plus the correction term
     -(a^(n-1)/b^2) * x * P(x/a)."""
-    F = spec.field
-    b = MultiPoly.var(PLANE, F, "b")
-    x = MultiPoly.var(PLANE, F, "x")
-    a_pow = MultiPoly.var(PLANE, F, "a", spec.n - 1)
-    return closed_form_m1(spec) - a_pow * b ** -2 * x * spec.p_at(
-        x * MultiPoly.var(PLANE, F, "a") ** -1)
+    a, b, x = MultiPoly.gens(PLANE, spec.field)
+    return closed_form_m1(spec) - a ** (spec.n - 1) * b ** -2 * x * spec.p_at(
+        x * a ** -1)
 
 
 # --------------------------------------------------------- the main identity
@@ -313,11 +297,11 @@ def verify_bundle_identity(spec: FibrationSpec, m: int | None = None
     b = CheckBuilder("thm12", P=spec.P, n=spec.n, m=m)
     F = spec.field
     K = max(2, m)
-    x, y, z, u = (MultiPoly.var(CHART, F, nm) for nm in ("x", "y", "z", "u"))
+    x, y, z, u = MultiPoly.gens(CHART, F)
 
     v = build_v(spec)
     omega = build_omega(spec)
-    R = _u_image(spec)
+    R, p_omega_x = _u_image(spec, omega)
     v_pow = [MultiPoly.const(CHART, F, 1), v]  # v^0 .. v^K, built once
     for _ in range(K - 1):
         v_pow.append(v_pow[-1] * v)
@@ -333,7 +317,6 @@ def verify_bundle_identity(spec: FibrationSpec, m: int | None = None
     W = divide_exact(G, x)
 
     # (iii) H = x^(mn-1)*P(omega/x) clears all inverse powers of x
-    p_omega_x = spec.p_at(x ** -1 * omega)
     H = x ** (m * spec.n - 1) * p_omega_x
     poly_ring = RingDescriptor.polynomials(CHART)
     b.expect("H-is-polynomial", poly_ring.contains(H))
@@ -347,7 +330,7 @@ def verify_bundle_identity(spec: FibrationSpec, m: int | None = None
         nj = f.coefficient_in("b", -j)
         if not nj:
             continue
-        nj_chart = substitute(nj, {"a": x, "x": omega}, into=CHART, field=F)
+        nj_chart = substitute(nj, {"a": x, "x": omega}, into=CHART)
         lhs = lhs - x * y * nj_chart * v_pow[K - j]
     rhs = G * v_pow[K - 2] - x ** (m * spec.n) * omega_m \
         * p_omega_x * v_pow[K - m]
@@ -369,7 +352,7 @@ def verify_frozen_instances() -> CheckResult:
     transition functions match their frozen expansions and minimal clearing
     data.  Check id: ``ex23``."""
     b = CheckBuilder("ex23", P="z^2", n="3,2,1")
-    P = MultiPoly.var(PVAR, QQ, "z", 2)
+    P = parse("z^2", PVAR, QQ)
     expected = {
         3: "x*a^-1*b^-2 - x^2*a^-3*b^-1",
         2: "x*a^-1*b^-2 - x^2*a^-3*b^-1 - x^3*a^-1*b^-2",
@@ -426,8 +409,7 @@ def stable_variable(spec: FibrationSpec, s_max: int = 12):
     phi = flatten(phi_w, CHART_EXT, F, base=("x",))
     phi_inv = invert(phi_w)
     ring = RingDescriptor.polynomials(CHART_EXT)
-    x = MultiPoly.var(CHART_EXT, F, "x")
-    t = MultiPoly.var(CHART_EXT, F, "t")
+    x, *_, t = MultiPoly.gens(CHART_EXT, F)
     for s in range(1, s_max + 1):
         tail = (Triangular("y", x ** s * t),) + phi_inv
         flat = flatten(tail, CHART_EXT, F, base=("x",), start=phi)
@@ -450,8 +432,7 @@ def verify_stable_variable(spec: FibrationSpec, s_max: int = 12) -> CheckResult:
              "; ".join(f"{name} = {c}" for name, c in bad))
     b.expect_zero("jacobian-minus-1", flat.jac - 1)
     v = build_v(spec, CHART_EXT)
-    x = MultiPoly.var(CHART_EXT, F, "x")
-    t = MultiPoly.var(CHART_EXT, F, "t")
+    x, *_, t = MultiPoly.gens(CHART_EXT, F)
     b.expect_zero("v-moves-by-x^s*t",
                   substitute(v, flat.comps) - (v + x ** s * t))
     b.expect("roundtrip-is-identity",

@@ -62,7 +62,7 @@ class FieldSpec:
         return FieldElem(self, self.coerce(value))
 
     # concrete specs implement: zero, one, characteristic, coerce, add, sub,
-    # mul, neg, inv, div, is_zero, to_str, coeff_str, descriptor
+    # mul, neg, inv, div, is_zero, coeff_str, descriptor
 
 
 @dataclass(frozen=True)
@@ -108,9 +108,6 @@ class Rationals(FieldSpec):
 
     def is_zero(self, a):
         return a == 0
-
-    def to_str(self, a):
-        return str(a)
 
     def coeff_str(self, a):
         """(is_negative, printed absolute value, needs_parens) for printing."""
@@ -179,9 +176,6 @@ class PrimeField(FieldSpec):
 
     def is_zero(self, a):
         return a % self.p == 0
-
-    def to_str(self, a):
-        return str(a % self.p)
 
     def coeff_str(self, a):
         return False, str(a % self.p), False
@@ -399,11 +393,6 @@ class QuotientExtension(FieldSpec):
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def to_str(self, a):
-        neg, body, parens = self.coeff_str(a)
-        s = ("-" if neg else "") + body
-        return s
-
     def coeff_str(self, a):
         """(is_negative, abs-value string in t, needs_parens).
 
@@ -479,4 +468,5 @@ class FieldElem:
         return self.spec.is_zero(self.value)
 
     def __str__(self):
-        return self.spec.to_str(self.value)
+        neg, body, parens = self.spec.coeff_str(self.value)
+        return f"-({body})" if neg and parens else "-" * neg + body

@@ -225,6 +225,11 @@ class MultiPoly:
         return cls(table, field, {exps: field.one}, _clean=False)
 
     @classmethod
+    def gens(cls, table, field):
+        """The table's variables, in table order."""
+        return tuple(cls.var(table, field, n) for n in table.names)
+
+    @classmethod
     def monomial(cls, table, field, exps, coeff=1):
         raw = field.coerce(coeff)
         if field.is_zero(raw):
@@ -500,16 +505,17 @@ class MultiPoly:
 # --------------------------------------------------------------- operations
 
 
-def substitute(poly: MultiPoly, images: dict, into: VarTable | None = None,
-               field: FieldSpec | None = None) -> MultiPoly:
+def substitute(poly: MultiPoly, images: dict, into: VarTable | None = None
+               ) -> MultiPoly:
     """Substitute polynomials for variables.
 
     ``images`` maps variable names of ``poly`` to MultiPoly values over a
-    common target table (or to constants). Variables without an image map to
-    themselves, so the target table must contain them by name. A variable
-    occurring with a negative exponent must have an invertible image: a
-    single term with unit coefficient — anything else raises
-    :class:`NonInvertibleImageForLaurentVariable`.
+    common target table and over ``poly``'s own field (or to constants); an
+    image over another field raises :class:`FieldMismatch`. Variables without
+    an image map to themselves, so the target table must contain them by
+    name. A variable occurring with a negative exponent must have an
+    invertible image: a single term with unit coefficient — anything else
+    raises :class:`NonInvertibleImageForLaurentVariable`.
 
     Single-term images (constants, variables without an image, Laurent
     monomials) are exponent maps: a term ``c * v^k`` with ``v -> m * u^d``
@@ -520,7 +526,7 @@ def substitute(poly: MultiPoly, images: dict, into: VarTable | None = None,
     multi-term image ``X``, ``sum C_k X^k = (C_n*X + C_(n-1))*X + ... + C_0``,
     where each ``C_k`` is evaluated the same way over the remaining images.
     """
-    f = field or poly.field
+    f = poly.field
     target = into
     img_polys = {}
     for name, val in images.items():
@@ -564,7 +570,7 @@ def substitute(poly: MultiPoly, images: dict, into: VarTable | None = None,
     # monomial images act on a term's exponents and coefficient; the other
     # images are evaluated by Horner's rule over groups of terms
     names = poly.table.names
-    one, fmul, is_zero = f.one, f.mul, f.is_zero
+    one, fmul = f.one, f.mul
     maps, multi = [], []
     for i in range(n):
         if not any(e[i] for e in poly.terms):
@@ -577,14 +583,9 @@ def substitute(poly: MultiPoly, images: dict, into: VarTable | None = None,
         else:
             multi.append((i, img))
 
-    coerce = None if poly.field == f else f.coerce
     width = len(target)
     grouped: dict[tuple, list] = {}
     for e, c in poly.terms.items():
-        if coerce is not None:
-            c = coerce(c)
-            if is_zero(c):
-                continue
         exps = [0] * width
         for i, moves, powers in maps:
             k = e[i]

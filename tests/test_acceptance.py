@@ -22,7 +22,7 @@ from a2bundle.bundles import (
     FIVE,
     a1_equiv,
     classify,
-    ex46_data,
+    congruence_data,
     lemma62_variable,
     prop45_search,
     verify_congruence_move,
@@ -205,7 +205,7 @@ def test_c07_congruence_moves(capsys):
         fin = verify_congruence_move("ex47",
                                      field=field_from_descriptor("fp:11"))
         assert fin.ok and fin.inputs["field"] == "fp:11"
-        f_b, g_b, m, q = ex46_data()
+        f_b, g_b, m, q = congruence_data("ex46")
         found = prop45_search(f_b, g_b, m, 1,
                               (0, Fraction(1, 2), Fraction(-1, 2), 1, -1))
         assert found == q == ppoly("1/2*x")

@@ -268,7 +268,7 @@ def test_certify_f_on_line_matches_full_composite(name, descriptor):
     comp = flatten(invert(cert.beta_word) + cert.alpha_word, GLUE, F, ("a", "b"))
     assert comp.comps["x"] == MultiPoly.var(GLUE, F, "x")
     shift = comp.comps["y"] - MultiPoly.var(GLUE, F, "y")
-    assert cert.f.f == substitute(shift, {}, into=PLANE, field=F)
+    assert cert.f.f == substitute(shift, {}, into=PLANE)
 
 
 # ------------------------------------------------------------ extension moves

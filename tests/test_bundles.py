@@ -15,10 +15,8 @@ from a2bundle.bundles import (
     TrivialityVerdict,
     a1_equiv,
     classify,
-    ex46_data,
-    ex47_data,
+    congruence_data,
     ex47_field,
-    ex48_data,
     hypersurface_embed,
     lemma62_variable,
     prop45_check,
@@ -30,7 +28,7 @@ from a2bundle.bundles import (
     verify_intersection_samples,
 )
 from a2bundle.cli import LADDER_RUNGS
-from a2bundle.errors import DegreeNotOne, PreconditionViolated
+from a2bundle.errors import DegreeNotOne, DivisionByZero, PreconditionViolated
 from a2bundle.exprio import field_from_descriptor, parse
 from a2bundle.fibration import (
     PLANE,
@@ -190,9 +188,24 @@ def test_congruence_move_unknown_name():
         verify_congruence_move("ex99")
 
 
+def test_congruence_samples_evaluate_the_ladder_function():
+    F = field_from_descriptor("fp:11")
+    spec = FibrationSpec(parse("z^2", PVAR, F), 1)
+    ladder = formal_transition(spec, 3).shift_exponents((3, 0, 0))
+    for which in ("ex47", "ex48"):
+        assert congruence_data(which, F)[1] == ladder
+
+
+@pytest.mark.parametrize("which, desc", [("ex46", "fp:2"), ("ex47", "fp:2"),
+                                         ("ex48", "fp:2"), ("ex47", "fp:5")])
+def test_congruence_samples_name_the_missing_inverse(which, desc):
+    with pytest.raises(DivisionByZero, match=f"inverse of 0 in F_{desc[3:]}$"):
+        congruence_data(which, field_from_descriptor(desc))
+
+
 def test_ex46_congruence_by_sympy():
     # independent replay of the defining congruence with sympy rationals
-    f_b, g_b, m, q = ex46_data()
+    f_b, g_b, m, q = congruence_data("ex46")
     sa, sb, sx = sympy.symbols("a b x")
 
     def to_sym(p):
@@ -208,7 +221,7 @@ def test_ex46_congruence_by_sympy():
 
 
 def test_prop45_reports_failed_congruence():
-    f_b, g_b, m, _ = ex46_data()
+    f_b, g_b, m, _ = congruence_data("ex46")
     bad = prop45_check(f_b, g_b, m, ppoly("x"))
     assert bad.status == "fail"
     assert any("congruence-mod-a^m" in r for r in bad.residuals)
@@ -216,13 +229,13 @@ def test_prop45_reports_failed_congruence():
 
 
 def test_prop45_trivial_move():
-    f_b, _, m, _ = ex46_data()
+    f_b, _, m, _ = congruence_data("ex46")
     res = prop45_check(f_b, f_b, m, MultiPoly.zero(PLANE, QQ))
     assert res.status == "pass"
 
 
 def test_prop45_rejects_bad_inputs():
-    f_b, g_b, m, q = ex46_data()
+    f_b, g_b, m, q = congruence_data("ex46")
     with pytest.raises(PreconditionViolated, match="must not invert a"):
         prop45_check(ppoly("a^-1*x"), g_b, m, q)
     with pytest.raises(PreconditionViolated, match="polynomial"):
@@ -232,19 +245,19 @@ def test_prop45_rejects_bad_inputs():
 
 
 def test_search_rediscovers_payload():
-    f_b, g_b, m, q = ex46_data()
+    f_b, g_b, m, q = congruence_data("ex46")
     found = prop45_search(f_b, g_b, m, 1, (0, Fraction(1, 2),
                                            Fraction(-1, 2), 1, -1))
     assert found == q
 
 
 def test_search_exhausts_small_pool():
-    f_b, g_b, m, _ = ex46_data()
+    f_b, g_b, m, _ = congruence_data("ex46")
     assert prop45_search(f_b, g_b, m, 1, (0, 1)) is None
 
 
 def test_search_trivial_pair_finds_zero():
-    f_b, _, m, _ = ex46_data()
+    f_b, _, m, _ = congruence_data("ex46")
     found = prop45_search(f_b, f_b, m, 1, (0,))
     assert found is not None and found.is_zero()
 
@@ -349,7 +362,7 @@ def test_lemma62_rewrites_to_plain_coordinate(p_text, m, n):
     u = MultiPoly.var(FIVE, F, "u")
     v = MultiPoly.var(FIVE, F, "v")
     x = MultiPoly.var(FIVE, F, "x")
-    eqn = a ** m * u - b ** n * v - substitute(P, {}, into=FIVE, field=F)
+    eqn = a ** m * u - b ** n * v - substitute(P, {}, into=FIVE)
     assert substitute(eqn, flat.comps) == x
     # the word is an automorphism: constant nonzero Jacobian
     jac = flat.jac if flat.jac is not None else flat.jacobian_det()

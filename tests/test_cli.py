@@ -279,6 +279,23 @@ def test_search45_empty_pool_rejected(capsys):
     assert "pool" in err
 
 
+@pytest.mark.parametrize("pool", ["0, z + 1/2", "z, z^2"])
+def test_search45_pool_entry_must_be_constant(capsys, pool):
+    code, out, err = run(capsys, "search45", "--fb", EX46_FB, "--gb", EX46_GB,
+                         "--m", "3", "--deg", "1", "--pool", pool)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "not a constant" in err
+
+
+def test_search45_negative_degree_rejected(capsys):
+    code, out, err = run(capsys, "search45", "--fb", EX46_FB, "--gb", EX46_GB,
+                         "--m", "3", "--deg", "-1", "--pool", "0,1/2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "deg" in err
+
+
 # ---------------------------------------------------------------- classify
 
 

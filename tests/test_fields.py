@@ -175,6 +175,14 @@ def test_coeff_str_shapes():
     assert (neg, body, parens) == (False, "t", False)
 
 
+def test_element_str_keeps_the_sign_of_every_term():
+    assert str(QQ.elem(Fraction(-5, 4))) == "-5/4"
+    assert str(F11.elem(-2)) == "9"
+    assert str(EXT.elem((Fraction(1), Fraction(-1)))) == "-(t - 1)"
+    assert str(EXT.elem((Fraction(-1), Fraction(0)))) == "-1"
+    assert str(EXT.elem(EXT.generator)) == "t"
+
+
 def test_descriptors():
     assert QQ.descriptor() == "q"
     assert F11.descriptor() == "fp:11"

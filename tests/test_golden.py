@@ -4,6 +4,11 @@ The digests in ``perfbench/golden.json`` are sha256 sums of each report with
 every check's ``millis`` removed, keys sorted and compact separators (the
 recipe of ``perfbench/run.py:report_digest``). A change to the arithmetic that
 alters any report, even one a check would still pass, fails here.
+
+``MORE_DIGESTS`` holds the same digests, with the exit code, for fields the
+benchmark does not run: two more extensions and a prime where every check
+passes, and two primes whose reports carry ``error`` entries (char 2, and
+F_7 with no square root of 1/5), so that error text is frozen too.
 """
 
 import contextlib
@@ -35,6 +40,23 @@ def test_verify_all_matches_golden_digest(field):
         rc = main(["verify", "all", "--field", field, "--format", "json"])
     assert rc == 0
     assert _digest(json.loads(buf.getvalue())) == golden[field]
+
+
+MORE_DIGESTS = {
+    "ext:t^3-2": (0, "6224cf1b1565961e636de3ac55593cb0f205cce2c9c25eeeb86b1e536b44ceef"),
+    "ext:5t^2-1": (0, "d6b33960bf0291927db8964de06d22f0a8793beb6d30f5d58d96ca90ba5dee42"),
+    "fp:19": (0, "42f65772b5f3c00658f0ac9c2d7848319c4c42abdc23e166d8413cac85fa4c9f"),
+    "fp:2": (1, "84a6b00bfdb1c011a9c8d7e3fffab959acc9267e5dcee56fb194eb2f7616dc45"),
+    "fp:7": (1, "7d92ca39e89c8dc31153a3505ad518c35f31feb6f82c41d15a449f28599653ab"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(MORE_DIGESTS))
+def test_verify_all_matches_recorded_digest(field):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(["verify", "all", "--field", field, "--format", "json"])
+    assert (rc, _digest(json.loads(buf.getvalue()))) == MORE_DIGESTS[field]
 
 
 def test_lemma44_multiplies_on_packed_keys(monkeypatch):

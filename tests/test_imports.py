@@ -138,3 +138,10 @@ def test_perfbench_boundaries_are_defined(monkeypatch):
     missing += [f"{cls.__name__}.{attr}" for cls, attr in owned
                 if not callable(cls.__dict__.get(attr))]
     assert not missing, f"perfbench wraps undefined names: {', '.join(missing)}"
+
+
+def test_src_within_seed_line_budget():
+    """``src/`` stays at or below the seed's 4,349 lines, so every feature
+    pays for its code with deletions elsewhere."""
+    lines = sum(len(p.read_text().splitlines()) for p in SRC.glob("*.py"))
+    assert lines <= 4349, f"src/a2bundle has {lines} lines, budget 4349"
