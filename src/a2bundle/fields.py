@@ -5,7 +5,9 @@ store them directly in term dictionaries:
 
 * rationals      -> ``fractions.Fraction``
 * prime fields   -> ``int`` residue in ``[0, p)``
-* Q[t]/(m(t))    -> ``tuple[Fraction, ...]`` of length deg(m) (low to high)
+* Q[t]/(m(t))    -> ``(ints, den)``: the residue's deg(m) coefficients (low
+  to high) times ``den``, as ints over a positive int ``den``, with
+  ``gcd(den, *ints) == 1``
 
 A :class:`FieldSpec` bundles the operations on raw values; :class:`FieldElem`
 is the small wrapper used at API boundaries.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import BadFieldSpec, DivisionByZero, FieldMismatch
 
@@ -246,6 +248,34 @@ def _power_rows(minpoly, top):
                  for r in fracs]
 
 
+def _t_poly_str(coeffs):
+    """(is_negative, abs-value string in t, needs_parens) for the rational
+    coefficients ``coeffs`` of a polynomial in t, low to high.
+
+    The sign is the sign of the highest nonzero t-coefficient, so that
+    the polynomial printer can pull it into the +/- joiner.
+    """
+    terms = [(k, c) for k, c in enumerate(coeffs) if c != 0]
+    if not terms:
+        return False, "0", False
+    lead_neg = terms[-1][1] < 0
+    sign = -1 if lead_neg else 1
+    pieces = []
+    for k, c in reversed(terms):
+        c = c * sign
+        if k == 0:
+            body = str(abs(c))
+        else:
+            var = "t" if k == 1 else f"t^{k}"
+            body = var if abs(c) == 1 else f"{abs(c)}*{var}"
+        pieces.append((c < 0, body))
+    out = pieces[0][1]
+    for negative, body in pieces[1:]:
+        out += (" - " if negative else " + ") + body
+    needs_parens = len(pieces) > 1
+    return lead_neg, out, needs_parens
+
+
 @dataclass(frozen=True)
 class QuotientExtension(FieldSpec):
     """Q[t]/(m(t)) for an irreducible m of degree 2 or 3.
@@ -255,6 +285,14 @@ class QuotientExtension(FieldSpec):
     t^2 - 1/5 describe the same field). Irreducibility is decided by the
     rational root test, which is complete in these degrees; higher degrees
     are rejected.
+
+    A raw element is the pair ``(ints, den)``: the d = deg(m) coefficients
+    of its residue, low to high, times ``den``, over the least positive
+    ``den`` that makes them ints. That form is unique, so ``==`` on raw
+    values is element equality. ``zero`` is ``((0,) * d, 1)``, and every
+    zero result is that constant. Arithmetic runs on ints with at most one
+    ``gcd`` per result; ``Fraction`` appears only in ``coerce``, ``inv``
+    and ``coeff_str``.
     """
 
     minpoly: tuple[Fraction, ...]
@@ -272,53 +310,57 @@ class QuotientExtension(FieldSpec):
         coeffs = tuple(c / lead for c in coeffs)
         if _rational_roots_exist(coeffs):
             raise BadFieldSpec("minimal polynomial is reducible over Q (rational root)")
+        zeros = (0,) * deg
         object.__setattr__(self, "minpoly", coeffs)
         object.__setattr__(self, "degree", deg)
-        object.__setattr__(self, "zero", (Fraction(0),) * deg)
-        object.__setattr__(self, "one", (Fraction(1),) + self.zero[1:])
+        object.__setattr__(self, "zero", (zeros, 1))
+        object.__setattr__(self, "one", ((1,) + zeros[1:], 1))
+        object.__setattr__(self, "generator", ((0, 1) + zeros[2:], 1))  # t
         object.__setattr__(self, "_rows", _power_rows(coeffs, 2 * deg - 2))
-
-    @property
-    def generator(self):
-        """The class of t."""
-        return tuple(Fraction(1) if i == 1 else Fraction(0) for i in range(self.degree))
 
     characteristic = 0
 
     def coerce(self, value):
+        """A raw value from an int, a Fraction, a raw ``(ints, den)`` pair,
+        a tuple of rational coefficients low to high (reduced mod m when
+        longer than d) or a FieldElem of this field."""
         if isinstance(value, FieldElem):
             if value.spec != self:
                 raise FieldMismatch(f"cannot coerce element of {value.spec} into {self}")
             return value.value
         if isinstance(value, (int, Fraction)):
-            return (Fraction(value),) + self.zero[1:]
+            return self._from_ints([value.numerator], value.denominator)
         if isinstance(value, tuple):
-            vals = [Fraction(c) for c in value]
-            if len(vals) > self.degree:
-                return self._reduce(vals)
-            return tuple(vals) + self.zero[len(vals):]
+            if len(value) == 2 and isinstance(value[0], tuple):
+                return self._from_ints(*value)
+            return self._reduce([Fraction(c) for c in value])
         raise FieldMismatch(f"cannot interpret {value!r} as an element of {self}")
 
     def _from_ints(self, v, den):
         """The element ``sum(v[i] * t^i) / den`` for an integer vector ``v`` of
-        any length: one integer pass against the rows of t^d, t^(d+1), ...
-        mod m, then one ``Fraction`` per nonzero component. A zero result is
-        the ``zero`` constant itself."""
-        d, zero = self.degree, self.zero
-        out = list(v[:d]) + [0] * (d - len(v))
-        if len(v) > d:
-            scale, rows = (self._rows if len(v) < 2 * d
-                           else _power_rows(self.minpoly, len(v) - 1))
-            if scale != 1:
-                out = [x * scale for x in out]
-                den *= scale
-            for c, row in zip(v[d:], rows):
-                if c:
-                    for i, r in row:
-                        out[i] += c * r
-        if not any(out):
-            return zero
-        return tuple([Fraction(x, den) if x else zero[0] for x in out])
+        any length and a positive ``den``: one integer pass against the rows
+        of t^d, t^(d+1), ... mod m, then one ``gcd`` to bring the pair to
+        normal form. A zero result is the ``zero`` constant itself."""
+        d = self.degree
+        if len(v) != d:
+            out = list(v[:d]) + [0] * (d - len(v))
+            if len(v) > d:
+                scale, rows = (self._rows if len(v) < 2 * d
+                               else _power_rows(self.minpoly, len(v) - 1))
+                if scale != 1:
+                    out = [x * scale for x in out]
+                    den *= scale
+                for c, row in zip(v[d:], rows):
+                    if c:
+                        for i, r in row:
+                            out[i] += c * r
+            v = out
+        if not any(v):
+            return self.zero
+        g = gcd(den, *v)
+        if g == 1:
+            return tuple(v), den
+        return tuple([x // g for x in v]), den // g
 
     def _reduce(self, coeffs):
         """Reduce a list of rational coefficients (any length) modulo the
@@ -328,28 +370,33 @@ class QuotientExtension(FieldSpec):
             [c.numerator * (den // c.denominator) for c in coeffs], den)
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        (u, du), (v, dv) = a, b
+        if du == dv:
+            return self._from_ints([x + y for x, y in zip(u, v)], du)
+        return self._from_ints([x * dv + y * du for x, y in zip(u, v)], du * dv)
 
     def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
+        (u, du), (v, dv) = a, b
+        if du == dv:
+            return self._from_ints([x - y for x, y in zip(u, v)], du)
+        return self._from_ints([x * dv - y * du for x, y in zip(u, v)], du * dv)
 
     def neg(self, a):
-        return tuple(-x for x in a)
+        if a is self.zero:
+            return a
+        return tuple([-x for x in a[0]]), a[1]
 
     def mul(self, a, b):
-        da = lcm(*[x.denominator for x in a])
-        db = lcm(*[y.denominator for y in b])
-        w = [y.numerator * (db // y.denominator) for y in b]
+        (u, du), (v, dv) = a, b
         prod = [0] * (2 * self.degree - 1)
-        for i, x in enumerate(a):
+        for i, x in enumerate(u):
             if x:
-                x = x.numerator * (da // x.denominator)
-                for j, y in enumerate(w):
+                for j, y in enumerate(v):
                     prod[i + j] += x * y
-        return self._from_ints(prod, da * db)
+        return self._from_ints(prod, du * dv)
 
     def is_zero(self, a):
-        return not any(a)
+        return not any(a[0])
 
     def inv(self, a):
         """Extended Euclid in Q[t] against the minimal polynomial."""
@@ -358,7 +405,7 @@ class QuotientExtension(FieldSpec):
         # run extended Euclid on (minpoly, a), tracking only the s-cofactor
         # of a since we never need the minpoly cofactor
         r0 = [Fraction(c) for c in self.minpoly]
-        r1 = [Fraction(c) for c in a]
+        r1 = [Fraction(c, a[1]) for c in a[0]]
         s0, s1 = [Fraction(0)], [Fraction(1)]
 
         def _trim(p):
@@ -394,34 +441,14 @@ class QuotientExtension(FieldSpec):
         return self.mul(a, self.inv(b))
 
     def coeff_str(self, a):
-        """(is_negative, abs-value string in t, needs_parens).
-
-        The sign is the sign of the highest nonzero t-coefficient, so that
-        the polynomial printer can pull it into the +/- joiner.
-        """
-        terms = [(k, c) for k, c in enumerate(a) if c != 0]
-        if not terms:
-            return False, "0", False
-        lead_neg = terms[-1][1] < 0
-        sign = -1 if lead_neg else 1
-        pieces = []
-        for k, c in reversed(terms):
-            c = c * sign
-            if k == 0:
-                body = str(abs(c))
-            else:
-                var = "t" if k == 1 else f"t^{k}"
-                body = var if abs(c) == 1 else f"{abs(c)}*{var}"
-            pieces.append((c < 0, body))
-        out = pieces[0][1]
-        for negative, body in pieces[1:]:
-            out += (" - " if negative else " + ") + body
-        needs_parens = len(pieces) > 1
-        return lead_neg, out, needs_parens
+        """(is_negative, abs-value string in t, needs_parens); see
+        :func:`_t_poly_str`."""
+        ints, den = a
+        return _t_poly_str([Fraction(x, den) for x in ints])
 
     def descriptor(self):
         # minpoly is monic by construction so never prints a leading minus
-        _, body, _ = self.coeff_str(self.minpoly)
+        _, body, _ = _t_poly_str(self.minpoly)
         return "ext:" + body.replace(" ", "")
 
     def __str__(self):

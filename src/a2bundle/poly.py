@@ -16,9 +16,10 @@ for every field, with no pass through the field's own ``add``/``mul``. Its
 integer coefficients are the residues over F_p; over Q the numerators, and
 over Q[t]/(m) each integer vector packed into one int at t = 2^w, both over
 one common denominator per operand. Each output becomes one residue mod p,
-one ``Fraction``, or one vector reduced mod m in integers with one
-``Fraction`` per component. Products of at least :data:`PACK_PAIRS` term pairs also pack
-their exponent tuples into ints inside the convolution.
+one ``Fraction``, or one vector reduced mod m in integers and brought to the
+field's ``(ints, den)`` form by one ``gcd``. Products of at least
+:data:`PACK_PAIRS` term pairs also pack their exponent tuples into ints
+inside the convolution.
 
 Exact division by a single term, a unit of the Laurent ring, is a shift; by
 any other divisor it keeps one remainder dictionary and pops a heap.
@@ -164,20 +165,21 @@ def _convolve(a, b):
 
 def _pack_vectors(a, b, d):
     """Extension-field terms of both operands as ``(w, denominator, packed a,
-    packed b)``: each operand's coefficient tuples are lifted to integer
-    vectors ``u`` over one common denominator and packed into ints ``u(2^w)``.
-    An output component sums at most ``min(len(a), len(b))`` pairs of ``d``
-    products, so ``w``, one bit wider than that bound, leaves no carry."""
+    packed b)``: each operand's ``(ints, den)`` values are lifted to integer
+    vectors ``u`` over one common denominator, the lcm of their ``den``, and
+    packed into ints ``u(2^w)``. An output component sums at most
+    ``min(len(a), len(b))`` pairs of ``d`` products, so ``w``, one bit wider
+    than that bound, leaves no carry."""
     lifted, den, bound = [], 1, d * min(len(a), len(b))
     for terms in (a, b):
-        dt = lcm(*[x.denominator for v in terms.values() for x in v])
-        lifted.append([(e, [x.numerator * (dt // x.denominator) for x in v])
-                       for e, v in terms.items()])
-        bound *= max([abs(x) for _, u in lifted[-1] for x in u], default=0)
+        dt = lcm(*[dv for _, dv in terms.values()])
+        lifted.append([(e, u, dt // dv) for e, (u, dv) in terms.items()])
+        bound *= max([max(map(abs, u)) * k for _, u, k in lifted[-1]],
+                     default=0)
         den *= dt
     w = bound.bit_length() + 1
-    return w, den, *[[(e, sum([x << (w * i) for i, x in enumerate(u)])) for e, u in terms]
-                   for terms in lifted]
+    return w, den, *[[(e, k * sum([x << (w * i) for i, x in enumerate(u)]))
+                      for e, u, k in terms] for terms in lifted]
 
 
 def _digits(s, w, n):

@@ -7,7 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from a2bundle import bivariable
+from a2bundle import bivariable, bundles
 from a2bundle.bivariable import BivariableCert, p_shift_bivariable
 from a2bundle.bundles import (
     FIVE,
@@ -259,6 +259,20 @@ def test_search_exhausts_small_pool():
 def test_search_trivial_pair_finds_zero():
     f_b, _, m, _ = congruence_data("ex46")
     found = prop45_search(f_b, f_b, m, 1, (0,))
+    assert found is not None and found.is_zero()
+
+
+def test_search_candidate_cap_at_its_edge(monkeypatch):
+    f_b, g_b, m, _ = congruence_data("ex46")
+    # raised before any candidate, or 2^(10^9), is built
+    with pytest.raises(PreconditionViolated,
+                       match=f"more than {bundles.MAX_CANDIDATES} candidates"):
+        prop45_search(f_b, g_b, m, 10 ** 9, (0, 1))
+    monkeypatch.setattr(bundles, "MAX_CANDIDATES", 4)
+    assert prop45_search(f_b, g_b, m, 1, (0, 1, 1, 0)) is None  # 2^2 = 4
+    with pytest.raises(PreconditionViolated, match="more than 4 candidates"):
+        prop45_search(f_b, g_b, m, 2, (0, 1))  # 2^3 = 8
+    found = prop45_search(f_b, f_b, m, 5, (0,))  # one candidate
     assert found is not None and found.is_zero()
 
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from a2bundle import errors
+from a2bundle import bundles, errors
 from a2bundle.bivariable import (
     basic_bivariable,
     cert_from_json,
@@ -294,6 +294,21 @@ def test_search45_negative_degree_rejected(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "deg" in err
+
+
+def test_search45_candidate_cap(capsys, monkeypatch):
+    monkeypatch.setattr(bundles, "MAX_CANDIDATES", 4)
+    code, out, err = run(capsys, "search45", "--fb", EX46_FB, "--gb", EX46_GB,
+                         "--m", "3", "--deg", "2", "--pool", "0,1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "more than 4 candidates" in err
+
+
+def test_search45_help_states_the_cap(capsys):
+    assert main(["search45", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"at most {bundles.MAX_CANDIDATES}" in text
 
 
 # ---------------------------------------------------------------- classify

@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,7 +66,7 @@ def test_extension_normalizes_to_monic():
     other = QuotientExtension((Fraction(-1, 5), Fraction(0), Fraction(1)))
     assert EXT.minpoly == other.minpoly == (Fraction(-1, 5), Fraction(0), Fraction(1))
     t = EXT.elem(EXT.generator)
-    assert (t * t).value == (Fraction(1, 5), Fraction(0))
+    assert (t * t).value == ((1, 0), 5)  # 1/5
 
 
 def test_extension_rejects_reducible_and_big():
@@ -151,7 +151,7 @@ def test_extension_inverse():
     t = EXT.elem(EXT.generator)
     one = EXT.elem(1)
     # 1/t = 5t since t^2 = 1/5
-    assert (one / t).value == (Fraction(0), Fraction(5))
+    assert (one / t).value == ((0, 5), 1)
     x = EXT.elem((Fraction(3, 2), Fraction(-7)))
     assert (x / x).value == EXT.one
     assert ((one / x) * x).value == EXT.one
@@ -169,9 +169,9 @@ def test_extension_square_root_of_fifth():
 def test_coeff_str_shapes():
     assert QQ.coeff_str(Fraction(-5, 4)) == (True, "5/4", False)
     assert F11.coeff_str(9) == (False, "9", False)
-    neg, body, parens = EXT.coeff_str((Fraction(1), Fraction(-1)))  # 1 - t
+    neg, body, parens = EXT.coeff_str(((1, -1), 1))  # 1 - t
     assert neg is True and body == "t - 1" and parens is True
-    neg, body, parens = EXT.coeff_str((Fraction(0), Fraction(1)))
+    neg, body, parens = EXT.coeff_str(EXT.generator)
     assert (neg, body, parens) == (False, "t", False)
 
 
@@ -261,10 +261,20 @@ EXT_IDS = ["ext:t^2+1", "ext:t^3-2", "ext:5t^2-1"]
 components = st.one_of(st.just(Fraction(0)), small_rats)
 
 
+def as_fractions(value):
+    """The residue coefficients of a raw ``(ints, den)`` value, low to high."""
+    ints, den = value
+    return tuple(Fraction(x, den) for x in ints)
+
+
 def assert_element(field, got, want):
-    assert got == want
-    assert len(got) == field.degree
-    assert all(type(c) is Fraction for c in got)
+    """``got`` is the normal form of the element with coefficients ``want``."""
+    assert as_fractions(got) == want
+    ints, den = got
+    assert type(ints) is tuple and len(ints) == field.degree
+    assert all(type(x) is int for x in (den, *ints))
+    assert den >= 1 and gcd(den, *ints) == 1
+    assert any(ints) or got is field.zero
 
 
 def test_reduction_rows_share_one_denominator():
@@ -299,7 +309,35 @@ def test_integer_reduction_matches_fraction_oracle(field, data):
 def test_integer_mul_matches_fraction_oracle(field, data):
     elems = st.lists(components, min_size=field.degree, max_size=field.degree)
     a, b = tuple(data.draw(elems)), tuple(data.draw(elems))
-    assert_element(field, field.mul(a, b), fraction_mul(field, a, b))
+    assert_element(field, field.mul(field.coerce(a), field.coerce(b)),
+                   fraction_mul(field, a, b))
+
+
+@pytest.mark.parametrize("field", EXTS, ids=EXT_IDS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_arithmetic_matches_fraction_oracles(field, data):
+    elems = st.lists(components, min_size=field.degree, max_size=field.degree)
+    a, b = tuple(data.draw(elems)), tuple(data.draw(elems))
+    x, y = field.coerce(a), field.coerce(b)
+    assert_element(field, x, a)
+    assert_element(field, field.add(x, y), tuple(p + q for p, q in zip(a, b)))
+    assert_element(field, field.add(x, x), tuple(2 * p for p in a))
+    assert_element(field, field.sub(x, y), tuple(p - q for p, q in zip(a, b)))
+    assert_element(field, field.neg(x), tuple(-p for p in a))
+    assert_element(field, field.mul(x, y), fraction_mul(field, a, b))
+    zero = as_fractions(field.zero)
+    assert_element(field, field.sub(x, x), zero)
+    assert_element(field, field.add(x, field.neg(x)), zero)
+    if not any(b):
+        with pytest.raises(DivisionByZero):
+            field.inv(y)
+        return
+    inv, quo = field.inv(y), field.div(x, y)
+    assert_element(field, inv, as_fractions(inv))
+    assert fraction_mul(field, as_fractions(inv), b) == as_fractions(field.one)
+    assert_element(field, quo, as_fractions(quo))
+    assert fraction_mul(field, as_fractions(quo), b) == a
 
 
 @pytest.mark.parametrize("field", EXTS, ids=EXT_IDS)
@@ -311,8 +349,16 @@ def test_reduction_of_long_tuples(field):
 
 
 @pytest.mark.parametrize("field", EXTS, ids=EXT_IDS)
+def test_generator_is_a_constant(field):
+    assert field.generator is field.generator
+    assert as_fractions(field.generator) == (0, 1) + (0,) * (field.degree - 2)
+    t = field.generator
+    assert field.mul(t, t) == field.coerce((0, 0, 1))  # the class of t^2
+
+
+@pytest.mark.parametrize("field", EXTS, ids=EXT_IDS)
 def test_one_and_zero_are_constants(field):
     assert field.one is field.one
     assert field.zero is field.zero
-    assert field.one == (Fraction(1),) + (Fraction(0),) * (field.degree - 1)
-    assert field.zero == (Fraction(0),) * field.degree
+    assert field.one == ((1,) + (0,) * (field.degree - 1), 1)
+    assert field.zero == ((0,) * field.degree, 1)

@@ -518,7 +518,7 @@ def test_divide_exact_rejects_non_multiple(field):
 def test_divide_exact_inverts_leading_coefficient_once(monkeypatch):
     x = MultiPoly.var(T2, EXT_I, "x")
     y = MultiPoly.var(T2, EXT_I, "y")
-    one_plus_t = (Fraction(1), Fraction(1))
+    one_plus_t = ((1, 1), 1)
     q = (x * x).scale(one_plus_t) + y.scale(EXT_I.generator) + 3  # leads with (1+t)x^2
     assert q.leading_term() == ((2, 0), one_plus_t)
     p = (x * y).scale((Fraction(2, 3), Fraction(-1))) + x ** -1 + y.scale(one_plus_t) + 5
