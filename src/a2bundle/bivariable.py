@@ -58,15 +58,6 @@ from .poly import (
 )
 from .report import CheckBuilder, CheckResult
 
-__all__ = [
-    "GLUE", "BASE", "RING_ALL", "RING_A", "RING_B", "BLOWUP",
-    "BivariableCert", "certify",
-    "basic_bivariable", "with_constant", "p_shift_bivariable",
-    "ex66_bivariable", "extend_a", "extend_b", "lemma44_bivariable",
-    "cert_to_doc", "cert_from_doc", "cert_to_json", "cert_from_json",
-    "verify_basic_family", "verify_constant_shift", "verify_p_shift",
-    "verify_quadratic_descent", "verify_mixed_denominator",
-]
 
 #: base pair (invertible on their charts) followed by the fibre pair
 GLUE = VarTable(("a", "b", "x", "y"), laurent=("a", "b"))

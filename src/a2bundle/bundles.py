@@ -76,14 +76,6 @@ from .poly import (
 )
 from .report import CheckBuilder, CheckResult
 
-__all__ = [
-    "FIVE", "MAX_CANDIDATES", "TrivialityVerdict",
-    "a1_equiv", "prop45_check", "prop45_search", "classify",
-    "hypersurface_embed", "lemma62_variable", "prop63_membership",
-    "verify_geometric_ladder", "verify_congruence_move",
-    "verify_hypersurface_samples", "verify_intersection_samples",
-    "ex47_field", "congruence_data",
-]
 
 #: base pair plus the three hypersurface coordinates ``x, u, v``
 FIVE = VarTable(("a", "b", "x", "u", "v"), laurent=("a", "b"))
@@ -214,8 +206,9 @@ def prop45_search(f_b: MultiPoly, g_b: MultiPoly, m: int, deg_bound: int,
     order, constant coefficient varying slowest).  Stage ``k`` keeps the
     candidates whose congruence holds mod ``a^k``; survivors of stage ``m``
     are confirmed with the full check.  Returns the first confirmed ``Q``
-    or ``None``; a negative ``deg_bound``, or more than
-    :data:`MAX_CANDIDATES` candidates, raises :class:`PreconditionViolated`.
+    or ``None``. A negative ``deg_bound``, or more than
+    :data:`MAX_CANDIDATES` candidates or coefficients per candidate, raises
+    :class:`PreconditionViolated`.
     """
     _chart_b_univariate(f_b, "f_b")
     _chart_b_univariate(g_b, "g_b")
@@ -228,13 +221,11 @@ def prop45_search(f_b: MultiPoly, g_b: MultiPoly, m: int, deg_bound: int,
         raw = F.coerce(c)
         if raw not in coeffs:
             coeffs.append(raw)
-    # the exponent stops one bit past the cap, so a huge deg_bound builds no
-    # huge int and a pool of two or more values still exceeds the cap
-    size = min(deg_bound + 1, MAX_CANDIDATES.bit_length() + 1)
-    if len(coeffs) ** size > MAX_CANDIDATES:
+    # the degree is checked first, so the power below stays a small int
+    if deg_bound >= MAX_CANDIDATES or len(coeffs) ** (deg_bound + 1) > MAX_CANDIDATES:
         raise PreconditionViolated(
             f"{len(coeffs)} pool values up to degree {deg_bound} give more "
-            f"than {MAX_CANDIDATES} candidates")
+            f"than {MAX_CANDIDATES} candidates or coefficients")
 
     def as_poly(cand):
         q = MultiPoly.zero(PLANE, F)
@@ -400,7 +391,9 @@ def lemma62_variable(P: MultiPoly, m: int, n: int):
     Raises :class:`DegreeNotOne` when the criterion does not apply.
     """
     F = P.field
-    _positive_pair(m, n)
+    if m < 1 or n < 1:
+        raise PreconditionViolated(
+            f"denominator exponents must be >= 1, got ({m}, {n})")
     p5 = _to_five(P) if P.table.names != FIVE.names else P
     if p5.involves("u") or p5.involves("v"):
         raise PreconditionViolated("P must involve only a, b and x")
@@ -446,12 +439,6 @@ def lemma62_variable(P: MultiPoly, m: int, n: int):
     if final != x5:
         raise ShapeError(f"rewriting word left {final}, not x")
     return word
-
-
-def _positive_pair(m, n):
-    if m < 1 or n < 1:
-        raise PreconditionViolated(
-            f"denominator exponents must be >= 1, got ({m}, {n})")
 
 
 # ----------------------------------------------------- intersection checks

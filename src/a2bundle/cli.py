@@ -308,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gb", required=True, metavar="EXPR")
     p.add_argument("--m", required=True, type=int)
     p.add_argument("--deg", required=True, type=int,
-                   help="payload degree bound; the len(pool)^(deg+1) "
-                        f"candidates may number at most {MAX_CANDIDATES}")
+                   help="payload degree bound; deg+1 and the len(pool)^(deg+1) "
+                        f"candidates may each be at most {MAX_CANDIDATES}")
     p.add_argument("--pool", required=True,
                    help="comma-separated coefficient pool")
     p.set_defaults(run=_cmd_search45)

@@ -20,6 +20,8 @@ parenthesized. ``to_expr(parse(s)) == to_expr(p)`` whenever ``parse(s) == p``.
 
 from __future__ import annotations
 
+import re
+
 from .errors import (
     ExprSyntaxError,
     NegativeExponentNotAllowed,
@@ -211,15 +213,10 @@ def field_from_descriptor(desc: str) -> FieldSpec:
     if desc.startswith("fp:"):
         return PrimeField(int(desc[3:]))
     if desc.startswith("ext:"):
-        text = desc[4:]
         # allow the compact juxtaposition 5t^2 for 5*t^2
-        expanded = []
-        for i, ch in enumerate(text):
-            if ch == "t" and i > 0 and text[i - 1].isdigit():
-                expanded.append("*")
-            expanded.append(ch)
+        text = re.sub(r"(?<=\d)t", "*t", desc[4:])
         ttable = VarTable(("t",))
-        p = parse("".join(expanded), ttable, QQ)
+        p = parse(text, ttable, QQ)
         deg = p.degree_in("t")
         if deg is None:
             raise ExprSyntaxError("minimal polynomial must not be zero", 0)

@@ -46,17 +46,6 @@ PLANE = VarTable(("a", "b", "x"), laurent=("a", "b"))
 #: univariate table for the defining polynomial P
 PVAR = VarTable(("z",))
 
-__all__ = [
-    "CHART", "CHART_EXT", "PLANE", "PVAR",
-    "FibrationSpec", "TransitionFunction",
-    "build_phi_word", "build_phi", "build_omega", "build_v",
-    "minimal_m", "transition_formula", "transition_function",
-    "closed_form_m1", "closed_form_m2",
-    "verify_coordinate_facts", "verify_bundle_identity",
-    "verify_frozen_instances", "verify_small_m_shapes",
-    "stable_variable", "verify_stable_variable",
-]
-
 
 @dataclass(frozen=True)
 class FibrationSpec:

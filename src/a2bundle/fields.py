@@ -3,7 +3,8 @@
 Raw element values are deliberately lightweight so the polynomial layer can
 store them directly in term dictionaries:
 
-* rationals      -> ``fractions.Fraction``
+* rationals      -> ``fractions.Fraction`` (a Q polynomial may hold its
+  terms as ints over one denominator instead; see :mod:`a2bundle.poly`)
 * prime fields   -> ``int`` residue in ``[0, p)``
 * Q[t]/(m(t))    -> ``(ints, den)``: the residue's deg(m) coefficients (low
   to high) times ``den``, as ints over a positive int ``den``, with

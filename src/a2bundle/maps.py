@@ -45,11 +45,6 @@ from .errors import (
 )
 from .poly import MultiPoly, RingDescriptor, VarTable, divide_exact, substitute
 
-__all__ = [
-    "Triangular", "Scale", "Permute", "Lemma41Block",
-    "PolyMap", "flatten", "invert", "lemma41_build", "check_membership",
-]
-
 
 # ---------------------------------------------------------------- generators
 

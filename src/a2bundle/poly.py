@@ -10,14 +10,22 @@ Only this module reads that term dict; other modules go through
 :class:`MultiPoly` methods. ``MultiPoly.terms`` stays a public dict of
 tuple keys because the benchmark reads it.
 
-Coefficients are raw field values (see :mod:`a2bundle.fields`). A product of
-two multi-term polynomials runs one integer convolution, :func:`_convolve`,
-for every field, with no pass through the field's own ``add``/``mul``. Its
-integer coefficients are the residues over F_p; over Q the numerators, and
-over Q[t]/(m) each integer vector packed into one int at t = 2^w, both over
-one common denominator per operand. Each output becomes one residue mod p,
-one ``Fraction``, or one vector reduced mod m in integers and brought to the
-field's ``(ints, den)`` form by one ``gcd``. Products of at least
+Coefficients are raw field values (see :mod:`a2bundle.fields`). Over Q a
+polynomial may instead be int-held, as in FLINT's ``fmpq_mpoly``: the pair
+``({exps: int}, den)`` with ``den > 0``, ``gcd(den, *ints) == 1`` and no
+zero entry, a unique normal form. Products, and sums with an int-held
+operand, are int-held (:class:`_IntPoly`) and build their ``Fraction``
+terms only when those are first read; a sum of two Fraction-held
+polynomials stays on the field's ``add``.
+
+A product of two multi-term polynomials runs one integer convolution,
+:func:`_convolve`, for every field, with no pass through the field's own
+``add``/``mul``. Its integer coefficients are the residues over F_p, the
+held ints over Q, and over Q[t]/(m) each integer vector packed into one int
+at t = 2^w over one common denominator per operand. One ``gcd`` normalises
+a Q product; over F_p each output becomes one residue mod p, and over
+Q[t]/(m) one vector reduced mod m in integers and brought to the field's
+``(ints, den)`` form by one ``gcd``. Products of at least
 :data:`PACK_PAIRS` term pairs also pack their exponent tuples into ints
 inside the convolution.
 
@@ -35,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from .errors import (
@@ -86,10 +94,6 @@ class VarTable:
         return name in self.laurent
 
 
-def _add_exps(e1, e2):
-    return tuple(map(add, e1, e2))
-
-
 def _term_sort_key(item):
     exps, _ = item
     return (sum(exps), exps)
@@ -109,15 +113,6 @@ def _accumulate(out, pairs, field, subtract=False):
                 del out[e]
             else:
                 out[e] = nc
-
-
-def _lift(terms):
-    """Rational terms as ``([(exps, int numerator)], common denominator)``."""
-    den = lcm(*[c.denominator for c in terms.values()])
-    if den == 1:
-        return [(e, c.numerator) for e, c in terms.items()], 1
-    return [(e, c.numerator * (den // c.denominator))
-            for e, c in terms.items()], den
 
 
 #: the fewest term pairs a product needs to multiply on packed keys
@@ -192,9 +187,10 @@ def _digits(s, w, n):
 
 
 class MultiPoly:
-    """Sparse Laurent polynomial over a fixed VarTable and field."""
+    """Sparse Laurent polynomial over a fixed VarTable and field; over Q,
+    ``_pair`` keeps the int-held form once it is computed."""
 
-    __slots__ = ("table", "field", "terms")
+    __slots__ = ("table", "field", "terms", "_pair")
 
     def __init__(self, table: VarTable, field: FieldSpec, terms: dict | None = None,
                  _clean: bool = True):
@@ -260,31 +256,47 @@ class MultiPoly:
             other = self._coerce_operand(other)
             if other is NotImplemented:
                 return NotImplemented
-        return (self.table.names == other.table.names
-                and self.field == other.field
-                and self.terms == other.terms)
+        if self.table.names != other.table.names or self.field != other.field:
+            return False
+        if type(self) is _IntPoly or type(other) is _IntPoly:
+            return self._held() == other._held()
+        return self.terms == other.terms
 
     __hash__ = None
 
+    def _stored(self):
+        """The dict this polynomial holds, read only for its keys."""
+        return self.terms
+
+    def _held(self):
+        """The int-held pair of a Q polynomial, lifted once and kept."""
+        pair = getattr(self, "_pair", None)
+        if pair is None:
+            terms = self.terms
+            den = lcm(*[c.denominator for c in terms.values()])
+            self._pair = pair = ({e: c.numerator * (den // c.denominator)
+                                  for e, c in terms.items()}, den)
+        return pair
+
     def is_zero(self):
-        return not self.terms
+        return not self._stored()
 
     def constant_value(self):
         """Raw coefficient of the constant term (0 if absent)."""
         return self.terms.get((0,) * len(self.table), self.field.zero)
 
     def is_monomial(self):
-        return len(self.terms) == 1
+        return len(self._stored()) == 1
 
     def involves(self, name: str) -> bool:
         i = self.table.index(name)
-        return any(e[i] != 0 for e in self.terms)
+        return any(e[i] != 0 for e in self._stored())
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._stored())
 
     def __len__(self):
-        return len(self.terms)
+        return len(self._stored())
 
     # ------------------------------------------------------------ arithmetic
 
@@ -292,6 +304,15 @@ class MultiPoly:
         other = self._coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
+        if type(self) is _IntPoly or type(other) is _IntPoly:
+            (a, da), (b, db) = self._held(), other._held()
+            g = gcd(da, db)
+            ka, kb = db // g, (-da if subtract else da) // g
+            out = dict(a) if ka == 1 else {e: c * ka for e, c in a.items()}
+            get = out.get
+            for e, c in b.items():
+                out[e] = get(e, 0) + c * kb
+            return _held_poly(self.table, self.field, out, da * ka)
         out = dict(self.terms)
         _accumulate(out, other.terms.items(), self.field, subtract)
         return MultiPoly(self.table, self.field, out, _clean=False)
@@ -313,11 +334,12 @@ class MultiPoly:
         other = self._coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.terms or not other.terms:
+        a, b = self._stored(), other._stored()
+        if not a or not b:
             return MultiPoly.zero(self.table, self.field)
-        if len(self.terms) == 1:
+        if len(a) == 1:
             return other._mul_monomial(self)
-        if len(other.terms) == 1:
+        if len(b) == 1:
             return self._mul_monomial(other)
         return self._mul_dict(other)
 
@@ -329,21 +351,21 @@ class MultiPoly:
             return self.shift_exponents(me)
         fmul = self.field.mul
         return MultiPoly(self.table, self.field,
-                         {_add_exps(e, me): fmul(c, mc) for e, c in self.terms.items()},
+                         {tuple(map(add, e, me)): fmul(c, mc) for e, c in self.terms.items()},
                          _clean=False)
 
     def _mul_dict(self, other: "MultiPoly"):
         f = self.field
+        if isinstance(f, Rationals):
+            (a, da), (b, db) = self._held(), other._held()
+            if len(a) < len(b):
+                a, b = b, a
+            return _held_poly(self.table, f, _convolve(
+                list(a.items()), list(b.items())), da * db)
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
-        if isinstance(f, Rationals):
-            ai, da = _lift(a)
-            bi, db = _lift(b)
-            out = _convolve(ai, bi)
-            den = da * db
-            terms = {e: Fraction(c, den) for e, c in out.items() if c}
-        elif isinstance(f, PrimeField):
+        if isinstance(f, PrimeField):
             p = f.p
             out = _convolve(list(a.items()), list(b.items()))
             terms = {e: r for e, c in out.items() if (r := c % p)}
@@ -360,14 +382,14 @@ class MultiPoly:
             return NotImplemented
         if n == 0:
             return MultiPoly.const(self.table, self.field, 1)
-        if len(self.terms) == 1:
+        if len(self) == 1:
             (e, c), = self.terms.items()
             c = c if c == self.field.one else _coeff_power(self.field, c, n)
             return MultiPoly(self.table, self.field, {tuple([n * x for x in e]): c},
                              _clean=False)
         if n < 0:
             raise NegativePowerOfNonMonomial(
-                f"cannot raise a {len(self.terms)}-term polynomial to power {n}")
+                f"cannot raise a {len(self)}-term polynomial to power {n}")
         return _power(MultiPoly.__mul__, self, n)
 
     def scale(self, value):
@@ -375,6 +397,8 @@ class MultiPoly:
         raw = self.field.coerce(value)
         if self.field.is_zero(raw):
             return MultiPoly.zero(self.table, self.field)
+        if type(self) is _IntPoly:
+            return self._scaled(raw.numerator, raw.denominator, ())
         fmul = self.field.mul
         return MultiPoly(self.table, self.field,
                          {e: fmul(c, raw) for e, c in self.terms.items()}, _clean=False)
@@ -385,28 +409,28 @@ class MultiPoly:
         if not any(delta):
             return self
         return MultiPoly(self.table, self.field,
-                         {_add_exps(e, delta): c for e, c in self.terms.items()},
+                         {tuple(map(add, e, delta)): c for e, c in self.terms.items()},
                          _clean=False)
 
     # --------------------------------------------------------------- queries
 
     def total_degree(self):
         """Max over terms of the exponent sum; None for the zero polynomial."""
-        if not self.terms:
+        if not self:
             return None
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self._stored())
 
     def degree_in(self, name: str):
-        if not self.terms:
+        if not self:
             return None
         i = self.table.index(name)
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self._stored())
 
     def min_degree_in(self, name: str):
-        if not self.terms:
+        if not self:
             return None
         i = self.table.index(name)
-        return min(e[i] for e in self.terms)
+        return min(e[i] for e in self._stored())
 
     def sorted_terms(self):
         """Terms in canonical order: graded by exponent sum, then exponent
@@ -422,15 +446,12 @@ class MultiPoly:
         """Coefficient of ``name**power``, as a polynomial with that variable
         cleared."""
         i = self.table.index(name)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == power:
-                out[e[:i] + (0,) + e[i + 1:]] = c
+        out = {e[:i] + (0,) + e[i + 1:]: c for e, c in self.terms.items() if e[i] == power}
         return MultiPoly(self.table, self.field, out, _clean=False)
 
     def exponents_in(self, name: str):
         i = self.table.index(name)
-        return sorted({e[i] for e in self.terms})
+        return sorted({e[i] for e in self._stored()})
 
     def partial_derivative(self, name: str) -> "MultiPoly":
         i = self.table.index(name)
@@ -453,28 +474,23 @@ class MultiPoly:
         :class:`NegativeExponentAtZero`.
         """
         f = self.field
-        vals = {}
+        raws = []
         for name in self.table.names:
             if name not in point:
                 raise UnexpectedVariable(f"no value supplied for {name!r}")
-            vals[name] = f.coerce(point[name])
-        raws = [vals[n] for n in self.table.names]
+            raws.append(f.coerce(point[name]))
         total = f.zero
         for e, c in self.terms.items():
-            acc = c
             for base, k in zip(raws, e):
-                if k == 0:
+                if not k:
                     continue
                 if f.is_zero(base):
                     if k < 0:
-                        raise NegativeExponentAtZero(
-                            "negative exponent evaluated at zero")
-                    acc = f.zero
+                        raise NegativeExponentAtZero("negative exponent evaluated at zero")
+                    c = f.zero
                     break
-                b = base if k > 0 else f.inv(base)
-                for _ in range(abs(k)):
-                    acc = f.mul(acc, b)
-            total = f.add(total, acc)
+                c = f.mul(c, _coeff_power(f, base, k))
+            total = f.add(total, c)
         return FieldElem(f, total)
 
     def set_vars_to_zero(self, names) -> "MultiPoly":
@@ -500,8 +516,65 @@ class MultiPoly:
         return to_expr(self)
 
     def __repr__(self):
-        body = str(self) if len(self.terms) <= 12 else f"<{len(self.terms)} terms>"
+        body = str(self) if len(self) <= 12 else f"<{len(self)} terms>"
         return f"MultiPoly({body!r}, vars={self.table.names}, field={self.field})"
+
+
+class _IntPoly(MultiPoly):
+    """An int-held Q polynomial: ``terms`` is built from ``_pair`` as
+    ``{exps: Fraction}`` on first read and then kept in the slot."""
+
+    __slots__ = ()
+    _terms = MultiPoly.terms  # the slot itself, which the property hides
+
+    def __init__(self, table, field, pair):
+        self.table, self.field, self._pair = table, field, pair
+
+    @property
+    def terms(self):
+        try:
+            return self._terms
+        except AttributeError:
+            ints, den = self._pair
+            self._terms = terms = {e: Fraction(c, den) for e, c in ints.items()}
+            return terms
+
+    def _stored(self):
+        return self._pair[0]
+
+    def _scaled(self, n, d, delta):
+        """This polynomial times ``n/d * x^delta``, int-held."""
+        ints, den = self._pair
+        if any(delta):
+            ints = {tuple(map(add, e, delta)): c * n for e, c in ints.items()}
+        elif n != 1:
+            ints = {e: c * n for e, c in ints.items()}
+        if d == 1 and n in (1, -1):
+            return _IntPoly(self.table, self.field, (ints, den))
+        return _held_poly(self.table, self.field, ints, den * d)
+
+    def __neg__(self):
+        return self._scaled(-1, 1, ())
+
+    def shift_exponents(self, delta):
+        return self._scaled(1, 1, tuple(delta))
+
+    def _mul_monomial(self, mono):
+        ints, d = mono._held()
+        (me, n), = ints.items()
+        return self._scaled(n, d, me)
+
+
+def _held_poly(table, field, ints, den):
+    """The int-held ``sum(ints[e] * x^e) / den`` in normal form: one ``gcd``
+    over the denominator and all ints (zero entries leave it unchanged),
+    then one pass that divides by it and drops zero entries, if needed."""
+    g = gcd(den, *ints.values())
+    if g != 1:
+        ints, den = {e: c // g for e, c in ints.items() if c}, den // g
+    elif not all(ints.values()):
+        ints = {e: c for e, c in ints.items() if c}
+    return _IntPoly(table, field, (ints, den))
 
 
 # --------------------------------------------------------------- operations
@@ -578,7 +651,7 @@ def substitute(poly: MultiPoly, images: dict, into: VarTable | None = None
         if not any(e[i] for e in poly.terms):
             continue
         img = img_polys[names[i]]
-        if len(img.terms) == 1:
+        if len(img) == 1:
             (me, mc), = img.terms.items()
             moves = [(j, x) for j, x in enumerate(me) if x]
             maps.append((i, moves, None if mc == one else {1: mc}))
@@ -672,7 +745,7 @@ def divide_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
         raise DivisionByZero("exact division by the zero polynomial")
     if num.is_zero():
         return MultiPoly.zero(num.table, num.field)
-    if len(den.terms) == 1:
+    if len(den) == 1:
         return num * den ** -1
 
     # per-variable minimum exponent of each operand
@@ -730,7 +803,7 @@ def congruent_mod_power(f: MultiPoly, g: MultiPoly, name: str, k: int,
     """
     diff = f - g
     i = f.table.index(name)
-    if any(e[i] < 0 for e in diff.terms):
+    if any(e[i] < 0 for e in diff._stored()):
         raise NotInAmbientRing(
             f"difference has a negative power of {name!r}; congruence mod "
             f"{name}^{k} is not defined")
@@ -738,12 +811,15 @@ def congruent_mod_power(f: MultiPoly, g: MultiPoly, name: str, k: int,
         bad = ambient.violations(diff)[0]
         raise NotInAmbientRing(
             f"difference leaves the ambient ring at exponents {bad[0]}")
-    return all(e[i] >= k for e in diff.terms)
+    return all(e[i] >= k for e in diff._stored())
 
 
 def truncate_var(f: MultiPoly, name: str, k: int) -> MultiPoly:
     """Drop all terms with exponent >= k on the named variable."""
     i = f.table.index(name)
+    if type(f) is _IntPoly:
+        ints, den = f._pair
+        return _held_poly(f.table, f.field, {e: c for e, c in ints.items() if e[i] < k}, den)
     return MultiPoly(f.table, f.field,
                      {e: c for e, c in f.terms.items() if e[i] < k}, _clean=False)
 
@@ -826,4 +902,4 @@ class RingDescriptor:
     def contains(self, poly: MultiPoly) -> bool:
         """Whether every term lies in the ring; stops at the first that does
         not, without sorting."""
-        return next(self._offenders(poly, poly.terms.items()), None) is None
+        return next(self._offenders(poly, poly._stored().items()), None) is None

@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from a2bundle import bivariable, bundles
-from a2bundle.bivariable import BivariableCert, p_shift_bivariable
+from a2bundle.bivariable import (
+    GLUE,
+    BivariableCert,
+    cert_from_json,
+    cert_to_json,
+    extend_b,
+    p_shift_bivariable,
+    with_constant,
+)
 from a2bundle.bundles import (
     FIVE,
     _sqrt_inv5,
@@ -38,7 +46,7 @@ from a2bundle.fibration import (
     formal_transition,
     transition_function,
 )
-from a2bundle.fields import QQ, PrimeField
+from a2bundle.fields import QQ, PrimeField, Rationals
 from a2bundle.maps import flatten
 from a2bundle.poly import MultiPoly, split_negative_parts, substitute
 
@@ -272,8 +280,35 @@ def test_search_candidate_cap_at_its_edge(monkeypatch):
     assert prop45_search(f_b, g_b, m, 1, (0, 1, 1, 0)) is None  # 2^2 = 4
     with pytest.raises(PreconditionViolated, match="more than 4 candidates"):
         prop45_search(f_b, g_b, m, 2, (0, 1))  # 2^3 = 8
-    found = prop45_search(f_b, f_b, m, 5, (0,))  # one candidate
+    found = prop45_search(f_b, f_b, m, 3, (0,))  # one candidate, 4 coefficients
     assert found is not None and found.is_zero()
+    with pytest.raises(PreconditionViolated, match="more than 4 candidates"):
+        prop45_search(f_b, f_b, m, 4, (0,))  # 5 coefficients
+
+
+def test_certs_stream_calls_rational_add_and_mul(monkeypatch):
+    """One operation of each kind of the benchmark's ``certs`` stream, over
+    Q: a traced run fails when ``Rationals.add`` or ``Rationals.mul``
+    records no call, so polynomial kernels that bypass the field must leave
+    both on this path."""
+    calls = {"add": 0, "mul": 0}
+    for op in calls:
+        def counting(self, a, b, _op=op, _real=getattr(Rationals, op)):
+            calls[_op] += 1
+            return _real(self, a, b)
+        monkeypatch.setattr(Rationals, op, counting)
+
+    hat = extend_b(with_constant(1, 1, ppoly("a + 1/2")), 1, 1,
+                   parse("x^2/3 + x", GLUE, QQ))
+    doc = cert_to_json(hat)
+    assert cert_from_json(doc).omega == hat.omega
+    f = "x*a^-1*b^-2 - x^2*a^-3*b^-1"
+    assert a1_equiv(tf_of(f), tf_of("3/2*x*a^-1*b^-2 - 3/2*x^2*a^-3*b^-1"
+                                    " + a^-1*x + x^2*b^-2/5")) is not None
+    assert classify(tf_of("x^2*a^-1*b^-1")).status == "nontrivial"
+    f_b, g_b, m, q = congruence_data("ex46")
+    assert prop45_search(f_b, g_b, m, 1, (0, Fraction(1, 2))) == q
+    assert calls["add"] >= 1 and calls["mul"] >= 1, calls
 
 
 # ------------------------------------------------------------- classifier

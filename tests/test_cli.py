@@ -305,6 +305,19 @@ def test_search45_candidate_cap(capsys, monkeypatch):
     assert err.startswith("error:") and "more than 4 candidates" in err
 
 
+def test_search45_degree_cap(capsys, monkeypatch):
+    # a one-value pool is one candidate, but of deg + 1 coefficients
+    monkeypatch.setattr(bundles, "MAX_CANDIDATES", 4)
+    code, out, err = run(capsys, "search45", "--fb", EX46_FB, "--gb", EX46_FB,
+                         "--m", "3", "--deg", "4", "--pool", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "more than 4 candidates or coefficients" in err
+    code, out, _ = run(capsys, "search45", "--fb", EX46_FB, "--gb", EX46_FB,
+                       "--m", "3", "--deg", "3", "--pool", "0")
+    assert code == 0 and out.strip() == "Q = 0"
+
+
 def test_search45_help_states_the_cap(capsys):
     assert main(["search45", "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())

@@ -1,10 +1,14 @@
+import contextlib
+import io
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from a2bundle import poly
+from a2bundle.cli import VERIFY_IDS, main
 from a2bundle.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -740,3 +744,126 @@ def test_ring_descriptor():
     blowup = RingDescriptor.polynomials(T3).allow_negative("a", "b").require_sum(["a", "b"])
     assert blowup.contains(mk(T3, {(-2, 2, 0): 1, (3, -3, 1): 5}))
     assert not blowup.contains(mk(T3, {(-2, 1, 0): 1}))
+
+
+# ------------------------------------------------------ the int-held Q store
+
+
+def int_held(p):
+    """``p`` over Q as an int-held polynomial."""
+    return poly._IntPoly(p.table, p.field, p._held())
+
+
+def frac_held(p):
+    """``p`` over Q as a Fraction-held polynomial."""
+    return MultiPoly(p.table, p.field, dict(p.terms))
+
+
+def frac_sum(p, q, sign=1):
+    """``p + sign*q`` by Fraction arithmetic on the term dicts."""
+    out = dict(p.terms)
+    for e, c in q.terms.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def assert_int_held(got, want):
+    """``got`` is int-held, its pair is in normal form, and its ``terms``
+    read as the Fraction dict ``want``, key for key and in order."""
+    assert type(got) is poly._IntPoly
+    ints, den = got._pair
+    assert den > 0 and all(ints.values())
+    assert gcd(den, *ints.values()) == 1
+    assert list(got.terms.items()) == list(want.items())
+    assert all(type(c) is Fraction for c in got.terms.values())
+    assert got.terms.keys() == ints.keys()
+
+
+@given(polys2, polys2)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_int_held_sums_match_fraction_sums(p, q):
+    for u, v in ((int_held(p), int_held(q)), (int_held(p), q), (p, int_held(q))):
+        assert_int_held(u + v, frac_sum(p, q))
+        assert_int_held(u - v, frac_sum(p, q, -1))
+    assert_int_held(int_held(p) - int_held(p), {})
+    assert_int_held(-int_held(p), {e: -c for e, c in p.terms.items()})
+    # two Fraction-held operands stay on the field's own add
+    assert type(p + q) is MultiPoly and (p + q).terms == frac_sum(p, q)
+
+
+@given(polys2.filter(lambda p: len(p) > 1), polys2.filter(lambda p: len(p) > 1))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_int_held_products_match_generic(p, q):
+    want = generic_product(p, q)
+    for u, v in ((p, q), (int_held(p), q), (p, int_held(q)),
+                 (int_held(p), int_held(q))):
+        assert_int_held(u * v, want)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_int_held_packed_products_match_generic(data):
+    p = data.draw(packed_polys(QQ, coeffs, 3))
+    q = data.draw(packed_polys(QQ, coeffs, -5))
+    assert len(p) * len(q) >= poly.PACK_PAIRS
+    assert_int_held(int_held(p) * q, generic_product(p, q))
+
+
+@given(polys2.filter(lambda p: len(p) > 1), exps2, nonzero(QQ, coeffs))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_int_held_monomial_shift_scale_and_truncate(p, me, c):
+    shifted = {tuple(x + y for x, y in zip(e, me)): v for e, v in p.terms.items()}
+    mono = MultiPoly.monomial(T2, QQ, me, c)
+    want = {e: v * c for e, v in shifted.items()}
+    for m in (mono, int_held(mono)):
+        assert_int_held(int_held(p) * m, want)
+        assert_int_held(m * int_held(p), want)
+    assert_int_held(int_held(p).shift_exponents(me), shifted)
+    assert_int_held(int_held(p).scale(c), {e: v * c for e, v in p.terms.items()})
+    assert_int_held(truncate_var(int_held(p), "x", me[0]),
+                    {e: v for e, v in p.terms.items() if e[0] < me[0]})
+
+
+@given(polys2.filter(bool), polys2.filter(bool))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_int_held_exact_division_matches_fraction_path(p, q):
+    prod = p * q
+    want = divide_exact(frac_held(prod), frac_held(q))
+    assert want == p
+    for n, d in ((prod, q), (prod, int_held(q)), (frac_held(prod), int_held(q))):
+        got = divide_exact(n, d)
+        assert got.terms == want.terms
+        if type(got) is poly._IntPoly:
+            assert_int_held(got, want.terms)
+
+
+@given(polys2, polys2)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_int_held_equality_both_ways(p, q):
+    same = p.terms == q.terms
+    for u in (p, int_held(p)):
+        for v in (q, int_held(q)):
+            assert (u == v) is same and (v == u) is same
+            assert (u != v) is not same
+    assert int_held(p) == p and p == int_held(p)
+    assert (int_held(p) == MultiPoly(T3, QQ, {})) is False
+
+
+@pytest.mark.parametrize("field", ["fp:11", "ext:t^2+1"])
+def test_verify_off_q_builds_no_int_held_polynomial(monkeypatch, field):
+    """Every check of ``verify all`` over another field leaves the Q store
+    alone, except ex23 and ex24, which build their samples over Q whatever
+    the field."""
+    built = {}
+    init = poly._IntPoly.__init__
+
+    def recording(self, table, f, pair):
+        built.setdefault(check_id, set()).add(f)
+        init(self, table, f, pair)
+
+    monkeypatch.setattr(poly._IntPoly, "__init__", recording)
+    for check_id in VERIFY_IDS:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", check_id, "--field", field]) == 0
+    assert set(built) <= {"ex23", "ex24"}
+    assert all(fields == {QQ} for fields in built.values())
