@@ -549,12 +549,12 @@ def verify_p_shift(p_texts=("z^2", "z^2 + z", "z^3 + 2*z"),
 def verify_quadratic_descent(p_text: str = "z^2",
                              field: FieldSpec = QQ) -> CheckResult:
     """End-to-end quadratic descent: the steps of :func:`_descend` as
-    reported expectations."""
+    reported expectations; inapplicable input raises, as in ``ex47``."""
     b = CheckBuilder("lemma44", P=p_text, field=field.descriptor())
     P = parse(p_text, PVAR, field)
     try:
         _descend(P, b)
-    except (CongruenceFailed, CharTwoField, PreconditionViolated) as exc:
+    except CongruenceFailed as exc:
         b.expect("descent-constructs", False, str(exc))
     return b.done()
 

@@ -454,9 +454,12 @@ def test_verify_quadratic_descent_passes():
 
 
 def test_verify_quadratic_descent_reports_char_two():
-    res = verify_quadratic_descent("z^2", field=field_from_descriptor("fp:2"))
-    assert res.status == "fail"
-    assert any("descent-constructs" in r for r in res.residuals)
+    # inapplicable input raises, so ``verify`` reports it as an error, not a
+    # failed step
+    with pytest.raises(CharTwoField, match="divides by 2"):
+        verify_quadratic_descent("z^2", field=field_from_descriptor("fp:2"))
+    with pytest.raises(PreconditionViolated, match="deg P == 2, got 9"):
+        verify_quadratic_descent("z^9")
 
 
 def test_verify_quadratic_descent_certifies_three_times(monkeypatch):

@@ -1,6 +1,12 @@
 import dataclasses
+import itertools
+import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -48,7 +54,12 @@ from a2bundle.fibration import (
 )
 from a2bundle.fields import QQ, PrimeField, Rationals
 from a2bundle.maps import flatten
-from a2bundle.poly import MultiPoly, split_negative_parts, substitute
+from a2bundle.poly import (
+    MultiPoly,
+    split_negative_parts,
+    substitute,
+    truncate_var,
+)
 
 
 def ppoly(s, field=QQ):
@@ -285,6 +296,148 @@ def test_search_candidate_cap_at_its_edge(monkeypatch):
     with pytest.raises(PreconditionViolated, match="more than 4 candidates"):
         prop45_search(f_b, f_b, m, 4, (0,))  # 5 coefficients
 
+
+def enumerated_search(f_b, g_b, m, deg_bound, pool):
+    """``prop45_search`` as a plain enumeration: every candidate is composed
+    and truncated at every power of ``a`` up to ``a^m``, then confirmed."""
+    bundles._chart_b_univariate(f_b, "f_b")
+    bundles._chart_b_univariate(g_b, "g_b")
+    if deg_bound < 0:
+        raise PreconditionViolated("negative deg_bound")
+    F = f_b.field
+    a, _, x = MultiPoly.gens(PLANE, F)
+    coeffs = []
+    for c in pool:
+        raw = F.coerce(c)
+        if raw not in coeffs:
+            coeffs.append(raw)
+    if (deg_bound >= bundles.MAX_CANDIDATES
+            or len(coeffs) ** (deg_bound + 1) > bundles.MAX_CANDIDATES):
+        raise PreconditionViolated("too many candidates")
+
+    def as_poly(cand):
+        q = MultiPoly.zero(PLANE, F)
+        for i, c in enumerate(cand):
+            q = q + (x ** i).scale(c)
+        return q
+
+    def residual_mod(q, k):
+        moved = truncate_var(x + a * substitute(q, {"x": f_b}), "a", k)
+        top = g_b.degree_in("x") or 0
+        acc = MultiPoly.zero(PLANE, F)
+        for i in range(top, -1, -1):
+            acc = truncate_var(acc * moved + g_b.coefficient_in("x", i),
+                               "a", k)
+        return truncate_var(acc - f_b, "a", k)
+
+    survivors = list(itertools.product(coeffs, repeat=deg_bound + 1))
+    for k in range(1, m + 1):
+        survivors = [c for c in survivors if not residual_mod(as_poly(c), k)]
+        if not survivors:
+            return None
+    for cand in survivors:
+        q = as_poly(cand)
+        if prop45_check(f_b, g_b, m, q).ok:
+            return q
+    return None
+
+
+SEARCH_FIELDS = (QQ, field_from_descriptor("fp:11"))
+POOL_VALUES = (0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
+
+
+def plane_terms(draw, F, a_range, x_range):
+    """A sum of one to three random terms ``c*a^i*b^j*x^k``."""
+    terms = draw(st.lists(st.tuples(st.sampled_from(POOL_VALUES[1:]),
+                                    st.integers(*a_range),
+                                    st.integers(-2, 1),
+                                    st.integers(*x_range)),
+                          min_size=1, max_size=3))
+    return sum((MultiPoly.monomial(PLANE, F, e, c) for c, *e in terms),
+               MultiPoly.zero(PLANE, F))
+
+
+@st.composite
+def search_inputs(draw):
+    """``(f_b, g_b, m, deg, pool)``: a pool holding 0 and a duplicate; half
+    of the pairs are built around a payload from the pool, possibly
+    perturbed, the rest have a random ``g_b`` (sometimes inverting ``a``)."""
+    F = draw(st.sampled_from(SEARCH_FIELDS))
+    m, deg = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    drawn = draw(st.lists(st.sampled_from(POOL_VALUES), min_size=1,
+                          max_size=3))
+    pool = drawn + [0, drawn[0]]
+    a, _, x = MultiPoly.gens(PLANE, F)
+    f_b = plane_terms(draw, F, (0, 2), (1, 2))
+    if draw(st.booleans()):
+        q = sum(((x ** i).scale(draw(st.sampled_from(pool)))
+                 for i in range(deg + 1)), MultiPoly.zero(PLANE, F))
+        # psi inverts x -> x + a*Q(f_b(x)) mod a^m, so g_b = f_b(psi)
+        # satisfies g_b(x + a*Q(f_b(x))) == f_b(x) mod a^m
+        psi = x
+        for _ in range(m):
+            psi = truncate_var(
+                x - a * substitute(q, {"x": substitute(f_b, {"x": psi})}),
+                "a", m)
+        g_b = truncate_var(substitute(f_b, {"x": psi}), "a", m)
+        if draw(st.booleans()):
+            g_b = g_b + plane_terms(draw, F, (0, 3), (0, 2))
+    else:
+        g_b = plane_terms(draw, F, (-1 if draw(st.booleans()) else 0, 2),
+                          (0, 3))
+    return f_b, g_b, m, deg, pool
+
+
+def outcome(search, args):
+    try:
+        return search(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(args=search_inputs())
+def test_search_matches_enumeration(args):
+    want = outcome(enumerated_search, args)
+    got = outcome(prop45_search, args)
+    if want is None or isinstance(want, type):
+        assert got is want
+    else:
+        assert isinstance(got, MultiPoly) and got == want
+
+
+def test_traced_certs_run_records_every_boundary(tmp_path):
+    """A short traced run of the benchmark's ``certs`` stream: no operation
+    fails, every boundary the traced gate expects records calls, and each
+    search that returns a payload confirmed it with ``prop45_check``."""
+    root = Path(__file__).resolve().parents[1]
+    bench = root / "perfbench"
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        (str(root / "src"), str(bench))))
+    proc = subprocess.run(
+        [sys.executable, str(bench / "child.py"), "certs", "--seed", "1",
+         "--ops", "16", "--spans", str(spans)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert [op[3] for op in out["ops"] if op[3]] == []
+    sys.path.insert(0, str(bench))
+    try:
+        import layers
+        import tracer
+    finally:
+        sys.path.remove(str(bench))
+    assert layers.missing_boundaries("certs", out["calls"]) == []
+
+    doc = tracer.load(spans)
+    names, rows = doc["names"], doc["rows"]
+    search = names.index("bundles.prop45_search")
+    check = names.index("bundles.prop45_check")
+    found = [r[tracer.ID] for r in rows
+             if r[tracer.NAME] == search and r[tracer.WORK]]
+    confirmed = {r[tracer.PARENT] for r in rows if r[tracer.NAME] == check}
+    assert found and set(found) <= confirmed
 
 def test_certs_stream_calls_rational_add_and_mul(monkeypatch):
     """One operation of each kind of the benchmark's ``certs`` stream, over

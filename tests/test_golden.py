@@ -46,7 +46,7 @@ MORE_DIGESTS = {
     "ext:t^3-2": (0, "6224cf1b1565961e636de3ac55593cb0f205cce2c9c25eeeb86b1e536b44ceef"),
     "ext:5t^2-1": (0, "d6b33960bf0291927db8964de06d22f0a8793beb6d30f5d58d96ca90ba5dee42"),
     "fp:19": (0, "42f65772b5f3c00658f0ac9c2d7848319c4c42abdc23e166d8413cac85fa4c9f"),
-    "fp:2": (1, "84a6b00bfdb1c011a9c8d7e3fffab959acc9267e5dcee56fb194eb2f7616dc45"),
+    "fp:2": (1, "6bec7db8f05424da11bcd0cc0e27c6fea9efab19bb770a02deec5f0945183d5a"),
     "fp:7": (1, "7d92ca39e89c8dc31153a3505ad518c35f31feb6f82c41d15a449f28599653ab"),
 }
 
