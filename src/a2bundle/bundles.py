@@ -171,7 +171,7 @@ def prop45_check(f_b: MultiPoly, g_b: MultiPoly, m: int, Q: MultiPoly,
     diff = substitute(g_b, {"x": moved}) - f_b
     cong = congruent_mod_power(diff, MultiPoly.zero(PLANE, F), "a", m)
     if not b.expect("congruence-mod-a^m", cong,
-                    detail=str(truncate_var(diff, "a", m))):
+                    detail=lambda: str(truncate_var(diff, "a", m))):
         return b.done()
 
     qg, fg, gg = to_glue(Q), to_glue(f_b), to_glue(g_b)
@@ -189,7 +189,7 @@ def prop45_check(f_b: MultiPoly, g_b: MultiPoly, m: int, Q: MultiPoly,
 
     b.expect("block-regular-on-b-chart",
              RING_B.contains(blk.comps["x"]) and RING_B.contains(blk.comps["y"]),
-             detail=f"x -> {blk.comps['x']}; y -> {blk.comps['y']}")
+             detail=lambda: f"x -> {blk.comps['x']}; y -> {blk.comps['y']}")
     one = MultiPoly.const(GLUE, F, 1)
     b.expect_zero("block-jacobian-minus-1", blk.jac - one)
     b.witness(pull_out=str(pull_out), block=str(block),
@@ -532,7 +532,7 @@ def verify_geometric_ladder(p_text: str, rungs, field: FieldSpec = QQ) -> list:
             b.expect(f"{tag}-conjugate-in-blow-up-ring",
                      BLOWUP.contains(pm.comps["x"])
                      and BLOWUP.contains(pm.comps["y"]),
-                     detail=f"x -> {pm.comps['x']}; y -> {pm.comps['y']}")
+                     detail=lambda: f"x -> {pm.comps['x']}; y -> {pm.comps['y']}")
         for tag, pm in (("forward", fwd), ("backward", bwd)):
             b.expect_zero(f"{tag}-jacobian-minus-1", pm.jac - one)
 

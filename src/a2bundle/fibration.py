@@ -313,7 +313,7 @@ def verify_bundle_identity(spec: FibrationSpec, m: int | None = None
     # (iv) route the transition function through b^(-j) -> v^(-j)
     b_exps = f.exponents_in("b")
     b.expect("pole-orders-within-range",
-             all(-K <= e <= -1 for e in b_exps), detail=str(b_exps))
+             all(-K <= e <= -1 for e in b_exps), detail=lambda: str(b_exps))
     lhs = x * y * R * v_pow[K]
     for j in range(1, K + 1):
         nj = f.coefficient_in("b", -j)
@@ -352,12 +352,12 @@ def verify_frozen_instances() -> CheckResult:
         m = minimal_m(spec)
         tf = transition_function(spec, m)
         b.expect("minimal-m-n%d" % n, m == {3: 1, 2: 2, 1: 3}[n],
-                 detail=f"m={m}")
+                 detail=lambda: f"m={m}")
         b.expect_zero("frozen-f-n%d" % n, tf.f - parse(expected[n], PLANE, QQ))
     # minimal clearing data of the n = 3 member
     tf3 = transition_function(FibrationSpec(P, 3))
     b.expect("clearing-exponents", (tf3.m_min, tf3.n_min) == (3, 2),
-             detail=f"({tf3.m_min},{tf3.n_min})")
+             detail=lambda: f"({tf3.m_min},{tf3.n_min})")
     b.expect_zero("numerator-polynomial",
                   tf3.p_num - parse("a^2*x - b*x^2", PLANE, QQ))
     b.witness(f_n3=tf3.f, p_num_n3=tf3.p_num)

@@ -8,7 +8,8 @@ store them directly in term dictionaries:
 * prime fields   -> ``int`` residue in ``[0, p)``
 * Q[t]/(m(t))    -> ``(ints, den)``: the residue's deg(m) coefficients (low
   to high) times ``den``, as ints over a positive int ``den``, with
-  ``gcd(den, *ints) == 1``
+  ``gcd(den, *ints) == 1`` (a polynomial's terms may share one denominator
+  instead; see :mod:`a2bundle.poly`)
 
 A :class:`FieldSpec` bundles the operations on raw values; :class:`FieldElem`
 is the small wrapper used at API boundaries.
@@ -20,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import lshift
 
 from .errors import BadFieldSpec, DivisionByZero, FieldMismatch
 
@@ -232,23 +234,6 @@ def _rational_roots_exist(coeffs: tuple[Fraction, ...]) -> bool:
             or root_in(hi2, bound, 1))
 
 
-def _power_rows(minpoly, top):
-    """``(den, rows)``: t^d, ..., t^top modulo the monic ``minpoly`` of degree
-    d, each as the nonzero ``(i, int)`` components of ``den`` times its
-    residue, over one common denominator ``den``."""
-    d = len(minpoly) - 1
-    row = [-c for c in minpoly[:d]]  # t^d
-    fracs = []
-    for _ in range(d, top + 1):
-        fracs.append(row)
-        row = [Fraction(0)] + row[:-1]
-        lead = fracs[-1][-1]
-        row = [x - lead * c for x, c in zip(row, minpoly)]
-    den = lcm(*[x.denominator for r in fracs for x in r])
-    return den, [[(i, int(x * den)) for i, x in enumerate(r) if x]
-                 for r in fracs]
-
-
 def _t_poly_str(coeffs):
     """(is_negative, abs-value string in t, needs_parens) for the rational
     coefficients ``coeffs`` of a polynomial in t, low to high.
@@ -291,9 +276,12 @@ class QuotientExtension(FieldSpec):
     of its residue, low to high, times ``den``, over the least positive
     ``den`` that makes them ints. That form is unique, so ``==`` on raw
     values is element equality. ``zero`` is ``((0,) * d, 1)``, and every
-    zero result is that constant. Arithmetic runs on ints with at most one
-    ``gcd`` per result; ``Fraction`` appears only in ``coerce``, ``inv``
-    and ``coeff_str``.
+    zero result is that constant. Element arithmetic runs on ints with at
+    most one ``gcd`` per result; ``Fraction`` appears only in ``coerce``,
+    ``inv`` and ``coeff_str``. Polynomials hold int vectors over one
+    denominator and call none of these for sums or products. ``_mod`` is the
+    primitive integer multiple of m, low to high, and ``L + C``: its leading
+    coefficient plus the largest absolute value of the others.
     """
 
     minpoly: tuple[Fraction, ...]
@@ -317,7 +305,9 @@ class QuotientExtension(FieldSpec):
         object.__setattr__(self, "zero", (zeros, 1))
         object.__setattr__(self, "one", ((1,) + zeros[1:], 1))
         object.__setattr__(self, "generator", ((0, 1) + zeros[2:], 1))  # t
-        object.__setattr__(self, "_rows", _power_rows(coeffs, 2 * deg - 2))
+        den = lcm(*[c.denominator for c in coeffs])  # m * den is primitive
+        ints = [int(c * den) for c in coeffs]
+        object.__setattr__(self, "_mod", (ints, den + max(map(abs, ints[:-1]))))
 
     characteristic = 0
 
@@ -337,25 +327,40 @@ class QuotientExtension(FieldSpec):
             return self._reduce([Fraction(c) for c in value])
         raise FieldMismatch(f"cannot interpret {value!r} as an element of {self}")
 
+    def _reduce_packed(self, items, w, k):
+        """``({key: r}, L^k)`` for ``(key, u(2^w))`` items: ``r`` is the
+        pseudo-remainder of ``L^k * u`` by the primitive integer ``m`` for an
+        int vector ``u`` of length d + k. Each of the k steps multiplies the
+        components' bound by at most ``L + C``; with ``w`` 3 bits above the
+        result, ``L^k * u(2^w)`` mod ``m(2^w)`` is the balanced ``r(2^w)``,
+        whose d signed digits, each offset by ``2^(w-1)``, are plain bit
+        fields. Zeros are left out."""
+        m, shifts = self._mod[0], range(0, w * self.degree, w)
+        mod, half, mask, scale = (sum(map(lshift, m, range(0, w * len(m), w))), 1 << (w - 1),
+                                  (1 << w) - 1, m[-1] ** k)
+        bias, zero = mod >> 1, sum(map(lshift, [half] * self.degree, shifts))
+        out, off = {}, zero - bias
+        for key, s in items:
+            r = (s * scale + bias) % mod + off
+            if r != zero:
+                out[key] = tuple([((r >> i) & mask) - half for i in shifts])
+        return out, scale
+
     def _from_ints(self, v, den):
         """The element ``sum(v[i] * t^i) / den`` for an integer vector ``v`` of
-        any length and a positive ``den``: one integer pass against the rows
-        of t^d, t^(d+1), ... mod m, then one ``gcd`` to bring the pair to
-        normal form. A zero result is the ``zero`` constant itself."""
-        d = self.degree
-        if len(v) != d:
-            out = list(v[:d]) + [0] * (d - len(v))
-            if len(v) > d:
-                scale, rows = (self._rows if len(v) < 2 * d
-                               else _power_rows(self.minpoly, len(v) - 1))
-                if scale != 1:
-                    out = [x * scale for x in out]
-                    den *= scale
-                for c, row in zip(v[d:], rows):
-                    if c:
-                        for i, r in row:
-                            out[i] += c * r
-            v = out
+        any length and a positive ``den``: pseudo-division by the primitive
+        integer ``m``, one step per coefficient past the d-th, then one
+        ``gcd`` to bring the pair to normal form. A zero result is the
+        ``zero`` constant itself."""
+        m, d = self._mod[0], self.degree
+        v = list(v) + [0] * (d - len(v))
+        while len(v) > d:
+            top = v.pop()
+            if top:
+                v = [x * m[-1] for x in v]
+                for i, c in enumerate(m[:-1], len(v) - d):
+                    v[i] -= top * c
+                den *= m[-1]
         if not any(v):
             return self.zero
         g = gcd(den, *v)
@@ -372,15 +377,10 @@ class QuotientExtension(FieldSpec):
 
     def add(self, a, b):
         (u, du), (v, dv) = a, b
-        if du == dv:
-            return self._from_ints([x + y for x, y in zip(u, v)], du)
         return self._from_ints([x * dv + y * du for x, y in zip(u, v)], du * dv)
 
     def sub(self, a, b):
-        (u, du), (v, dv) = a, b
-        if du == dv:
-            return self._from_ints([x - y for x, y in zip(u, v)], du)
-        return self._from_ints([x * dv - y * du for x, y in zip(u, v)], du * dv)
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
         if a is self.zero:
@@ -400,43 +400,22 @@ class QuotientExtension(FieldSpec):
         return not any(a[0])
 
     def inv(self, a):
-        """Extended Euclid in Q[t] against the minimal polynomial."""
+        """Gauss-Jordan elimination on the matrix of multiplication by ``a``,
+        with columns a, a*t, ..., a*t^(d-1), solving for the preimage of 1;
+        m is irreducible, so every nonzero ``a`` gives an invertible matrix."""
         if self.is_zero(a):
             raise DivisionByZero(f"inverse of 0 in {self}")
-        # run extended Euclid on (minpoly, a), tracking only the s-cofactor
-        # of a since we never need the minpoly cofactor
-        r0 = [Fraction(c) for c in self.minpoly]
-        r1 = [Fraction(c, a[1]) for c in a[0]]
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def _trim(p):
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
-        def _sub_scaled(p, q, c, shift):
-            # p -= c * t^shift * q, in place
-            while len(p) < len(q) + shift:
-                p.append(Fraction(0))
-            for i, qc in enumerate(q):
-                p[i + shift] -= c * qc
-            return _trim(p)
-
-        r0, r1 = _trim(r0), _trim(r1)
-        while len(r1) > 1:
-            # divide r0 by r1, folding the quotient into the s-cofactors
-            while len(r0) >= len(r1) and r0:
-                c = r0[-1] / r1[-1]
-                shift = len(r0) - len(r1)
-                r0 = _sub_scaled(r0, r1, c, shift)
-                s0 = _sub_scaled(s0, s1, c, shift)
-            r0, r1 = r1, r0
-            s0, s1 = s1, s0
-        if not r1:
-            raise DivisionByZero("element shares a factor with the minimal polynomial")
-        c = r1[0]
-        inv = [x / c for x in s1]
-        return self._reduce(inv)
+        d, cols = self.degree, [a]
+        for _ in range(d - 1):
+            cols.append(self.mul(cols[-1], self.generator))
+        rows = [[Fraction(u[i], du) for u, du in cols] + [Fraction(i == 0)] for i in range(d)]
+        for c in range(d):
+            p = next(r for r in range(c, d) if rows[r][c])
+            piv = [x / rows[p][c] for x in rows[p]]
+            rows[p], rows[c] = rows[c], piv
+            rows = [r if i == c or not r[c] else [x - r[c] * y for x, y in zip(r, piv)]
+                    for i, r in enumerate(rows)]
+        return self._reduce([r[d] for r in rows])
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -10,24 +10,24 @@ Only this module reads that term dict; other modules go through
 :class:`MultiPoly` methods. ``MultiPoly.terms`` stays a public dict of
 tuple keys because the benchmark reads it.
 
-Coefficients are raw field values (see :mod:`a2bundle.fields`). Over Q a
-polynomial may instead be int-held, as in FLINT's ``fmpq_mpoly``: the pair
-``({exps: int}, den)`` with ``den > 0``, ``gcd(den, *ints) == 1`` and no
-zero entry, a unique normal form. Products, and sums with an int-held
-operand, are int-held (:class:`_IntPoly`) and build their ``Fraction``
-terms only when those are first read; a sum of two Fraction-held
-polynomials stays on the field's ``add``.
+Coefficients are raw field values (see :mod:`a2bundle.fields`). Over Q and
+Q[t]/(m) a polynomial may instead be held, as in FLINT's ``fmpq_mpoly``:
+the pair ``({exps: c}, den)``, where ``c`` is an int over Q and a tuple of
+deg(m) ints over Q[t]/(m), with ``den > 0``, no zero entry and a ``gcd`` of
+1 over ``den`` and every int, a unique normal form. A held polynomial
+(:class:`_IntPoly`) adds, negates, shifts, multiplies and substitutes in
+ints with one ``gcd`` per result, and builds its raw ``terms`` only when
+they are first read. Over Q[t]/(m) these operations always run held; over
+Q only with a held operand, so a sum of two Fraction-held polynomials stays
+on the field's ``add``.
 
 A product of two multi-term polynomials runs one integer convolution,
 :func:`_convolve`, for every field, with no pass through the field's own
-``add``/``mul``. Its integer coefficients are the residues over F_p, the
-held ints over Q, and over Q[t]/(m) each integer vector packed into one int
-at t = 2^w over one common denominator per operand. One ``gcd`` normalises
-a Q product; over F_p each output becomes one residue mod p, and over
-Q[t]/(m) one vector reduced mod m in integers and brought to the field's
-``(ints, den)`` form by one ``gcd``. Products of at least
-:data:`PACK_PAIRS` term pairs also pack their exponent tuples into ints
-inside the convolution.
+``add``/``mul``: over F_p on residues, each output then taken mod p; over Q
+on the held ints; over Q[t]/(m) on the held vectors packed into ints at
+t = 2^w, each output then reduced mod m by one big-int remainder
+(:func:`_mul_vectors`). Products of at least :data:`PACK_PAIRS` term pairs
+also pack their exponent tuples into ints inside the convolution.
 
 Exact division by a single term, a unit of the Laurent ring, is a shift; by
 any other divisor it keeps one remainder dictionary and pops a heap.
@@ -43,8 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, lcm
-from operator import add
+from operator import add, lshift, neg, sub
 
 from .errors import (
     DivisionByZero,
@@ -57,7 +58,7 @@ from .errors import (
     UnexpectedVariable,
     VarTableMismatch,
 )
-from .fields import FieldElem, FieldSpec, PrimeField, Rationals
+from .fields import FieldElem, FieldSpec, PrimeField, QuotientExtension, Rationals
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def _term_sort_key(item):
 
 def _accumulate(out, pairs, field, subtract=False):
     """Add (or subtract) the ``(exponents, coefficient)`` pairs into the term
-    dict ``out`` in place, dropping keys whose coefficient cancels."""
+    dict ``out`` in place and return it, dropping keys that cancel."""
     fadd, fneg, is_zero = field.sub if subtract else field.add, field.neg, field.is_zero
     for e, c in pairs:
         prior = out.get(e)
@@ -113,6 +114,28 @@ def _accumulate(out, pairs, field, subtract=False):
                 del out[e]
             else:
                 out[e] = nc
+    return out
+
+
+def _add_into(out, pairs, k, vec):
+    """Add ``k`` times each held ``(exponents, value)`` pair into the dict
+    ``out`` in place and return it; cancelled values stay, as zeros. Values
+    are int vectors if ``vec``, else ints."""
+    get = out.get
+    if not vec:
+        for e, c in pairs:
+            out[e] = get(e, 0) + c * k
+    elif k == -1:
+        for e, c in pairs:
+            prior = get(e)
+            out[e] = tuple(map(neg, c)) if prior is None else tuple(map(sub, prior, c))
+    else:
+        for e, c in pairs:
+            if k != 1:
+                c = tuple([x * k for x in c])
+            prior = get(e)
+            out[e] = c if prior is None else tuple(map(add, prior, c))
+    return out
 
 
 #: the fewest term pairs a product needs to multiply on packed keys
@@ -158,37 +181,22 @@ def _convolve(a, b):
             for k, c in out.items()}
 
 
-def _pack_vectors(a, b, d):
-    """Extension-field terms of both operands as ``(w, denominator, packed a,
-    packed b)``: each operand's ``(ints, den)`` values are lifted to integer
-    vectors ``u`` over one common denominator, the lcm of their ``den``, and
-    packed into ints ``u(2^w)``. An output component sums at most
-    ``min(len(a), len(b))`` pairs of ``d`` products, so ``w``, one bit wider
-    than that bound, leaves no carry."""
-    lifted, den, bound = [], 1, d * min(len(a), len(b))
-    for terms in (a, b):
-        dt = lcm(*[dv for _, dv in terms.values()])
-        lifted.append([(e, u, dt // dv) for e, (u, dv) in terms.items()])
-        bound *= max([max(map(abs, u)) * k for _, u, k in lifted[-1]],
-                     default=0)
-        den *= dt
-    w = bound.bit_length() + 1
-    return w, den, *[[(e, k * sum([x << (w * i) for i, x in enumerate(u)]))
-                      for e, u, k in terms] for terms in lifted]
-
-
-def _digits(s, w, n):
-    """The ``n`` signed base-``2**w`` digits of ``s``, lowest first."""
-    half, mask, out = 1 << (w - 1), (1 << w) - 1, []
-    for _ in range(n):
-        out.append(((s + half) & mask) - half)
-        s = (s - out[-1]) >> w
-    return out
+def _mul_vectors(a, b, field):
+    """``(ints, scale)``: the product of the held Q[t]/(m) dicts ``a`` and
+    ``b``, ``b`` the shorter, as int vectors over ``scale``. Each vector is
+    packed into one int; an output component sums at most ``len(b)`` pairs
+    of d products, and each output is reduced mod m at once."""
+    d = field.degree
+    top = [max(map(abs, chain.from_iterable(t.values())), default=0) for t in (a, b)]
+    w = (d * len(b) * top[0] * top[1] * field._mod[1] ** (d - 1)).bit_length() + 3
+    shifts = range(0, w * d, w)
+    pa, pb = ([(e, sum(map(lshift, u, shifts))) for e, u in t.items()] for t in (a, b))
+    return field._reduce_packed(_convolve(pa, pb).items(), w, d - 1)
 
 
 class MultiPoly:
-    """Sparse Laurent polynomial over a fixed VarTable and field; over Q,
-    ``_pair`` keeps the int-held form once it is computed."""
+    """Sparse Laurent polynomial over a fixed VarTable and field; over Q and
+    Q[t]/(m), ``_pair`` keeps the held form once it is computed."""
 
     __slots__ = ("table", "field", "terms", "_pair")
 
@@ -269,13 +277,19 @@ class MultiPoly:
         return self.terms
 
     def _held(self):
-        """The int-held pair of a Q polynomial, lifted once and kept."""
+        """The held pair of a Q or Q[t]/(m) polynomial, lifted once and kept:
+        each term over the lcm of the terms' denominators."""
         pair = getattr(self, "_pair", None)
         if pair is None:
             terms = self.terms
-            den = lcm(*[c.denominator for c in terms.values()])
-            self._pair = pair = ({e: c.numerator * (den // c.denominator)
-                                  for e, c in terms.items()}, den)
+            if isinstance(self.field, Rationals):
+                den = lcm(*[c.denominator for c in terms.values()])
+                ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+            else:
+                den = lcm(*[dv for _, dv in terms.values()])
+                ints = {e: u if dv == den else tuple([x * (den // dv) for x in u])
+                        for e, (u, dv) in terms.items()}
+            self._pair = pair = (ints, den)
         return pair
 
     def is_zero(self):
@@ -304,17 +318,15 @@ class MultiPoly:
         other = self._coerce_operand(other)
         if other is NotImplemented:
             return NotImplemented
-        if type(self) is _IntPoly or type(other) is _IntPoly:
+        vec = isinstance(self.field, QuotientExtension)
+        if vec or type(self) is _IntPoly or type(other) is _IntPoly:
             (a, da), (b, db) = self._held(), other._held()
             g = gcd(da, db)
             ka, kb = db // g, (-da if subtract else da) // g
-            out = dict(a) if ka == 1 else {e: c * ka for e, c in a.items()}
-            get = out.get
-            for e, c in b.items():
-                out[e] = get(e, 0) + c * kb
-            return _held_poly(self.table, self.field, out, da * ka)
-        out = dict(self.terms)
-        _accumulate(out, other.terms.items(), self.field, subtract)
+            out = dict(a) if ka == 1 else _add_into({}, a.items(), ka, vec)
+            return _held_poly(self.table, self.field,
+                              _add_into(out, b.items(), kb, vec), da * ka)
+        out = _accumulate(dict(self.terms), other.terms.items(), self.field, subtract)
         return MultiPoly(self.table, self.field, out, _clean=False)
 
     __radd__ = __add__
@@ -349,6 +361,8 @@ class MultiPoly:
         (me, mc), = mono.terms.items()
         if mc == self.field.one:
             return self.shift_exponents(me)
+        if isinstance(self.field, QuotientExtension):
+            return _IntPoly(self.table, self.field, self._held())._mul_monomial(mono)
         fmul = self.field.mul
         return MultiPoly(self.table, self.field,
                          {tuple(map(add, e, me)): fmul(c, mc) for e, c in self.terms.items()},
@@ -356,26 +370,22 @@ class MultiPoly:
 
     def _mul_dict(self, other: "MultiPoly"):
         f = self.field
-        if isinstance(f, Rationals):
-            (a, da), (b, db) = self._held(), other._held()
+        if isinstance(f, PrimeField):
+            a, b = self.terms, other.terms
             if len(a) < len(b):
                 a, b = b, a
-            return _held_poly(self.table, f, _convolve(
-                list(a.items()), list(b.items())), da * db)
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
-        if isinstance(f, PrimeField):
             p = f.p
             out = _convolve(list(a.items()), list(b.items()))
-            terms = {e: r for e, c in out.items() if (r := c % p)}
-        else:
-            w, den, ai, bi = _pack_vectors(a, b, f.degree)
-            out = _convolve(ai, bi)
-            n, from_ints, zero = 2 * f.degree - 1, f._from_ints, f.zero
-            terms = {e: r for e, s in out.items()
-                     if (r := from_ints(_digits(s, w, n), den)) is not zero}
-        return MultiPoly(self.table, f, terms, _clean=False)
+            return MultiPoly(self.table, f, {e: r for e, c in out.items() if (r := c % p)},
+                             _clean=False)
+        (a, da), (b, db) = self._held(), other._held()
+        if len(a) < len(b):
+            a, b = b, a
+        if isinstance(f, Rationals):
+            return _held_poly(self.table, f, _convolve(
+                list(a.items()), list(b.items())), da * db)
+        ints, scale = _mul_vectors(a, b, f)
+        return _held_poly(self.table, f, ints, da * db * scale)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -394,14 +404,8 @@ class MultiPoly:
 
     def scale(self, value):
         """Multiply by a scalar (raw value, int, Fraction or FieldElem)."""
-        raw = self.field.coerce(value)
-        if self.field.is_zero(raw):
-            return MultiPoly.zero(self.table, self.field)
-        if type(self) is _IntPoly:
-            return self._scaled(raw.numerator, raw.denominator, ())
-        fmul = self.field.mul
-        return MultiPoly(self.table, self.field,
-                         {e: fmul(c, raw) for e, c in self.terms.items()}, _clean=False)
+        c = MultiPoly.const(self.table, self.field, value)
+        return self._mul_monomial(c) if c else c
 
     def shift_exponents(self, delta):
         """Multiply by the monomial with exponent vector ``delta``."""
@@ -521,8 +525,9 @@ class MultiPoly:
 
 
 class _IntPoly(MultiPoly):
-    """An int-held Q polynomial: ``terms`` is built from ``_pair`` as
-    ``{exps: Fraction}`` on first read and then kept in the slot."""
+    """A held Q or Q[t]/(m) polynomial: ``terms`` is built from ``_pair`` on
+    first read, as ``{exps: Fraction}`` or ``{exps: (ints, den)}`` raw
+    values each in the field's own normal form, and then kept in the slot."""
 
     __slots__ = ()
     _terms = MultiPoly.terms  # the slot itself, which the property hides
@@ -536,19 +541,20 @@ class _IntPoly(MultiPoly):
             return self._terms
         except AttributeError:
             ints, den = self._pair
-            self._terms = terms = {e: Fraction(c, den) for e, c in ints.items()}
+            view = Fraction if isinstance(self.field, Rationals) else self.field._from_ints
+            self._terms = terms = {e: view(c, den) for e, c in ints.items()}
             return terms
 
     def _stored(self):
         return self._pair[0]
 
     def _scaled(self, n, d, delta):
-        """This polynomial times ``n/d * x^delta``, int-held."""
+        """This polynomial times ``n/d * x^delta``, held."""
         ints, den = self._pair
         if any(delta):
-            ints = {tuple(map(add, e, delta)): c * n for e, c in ints.items()}
-        elif n != 1:
-            ints = {e: c * n for e, c in ints.items()}
+            ints = {tuple(map(add, e, delta)): c for e, c in ints.items()}
+        if n != 1:
+            ints = _add_into({}, ints.items(), n, isinstance(self.field, QuotientExtension))
         if d == 1 and n in (1, -1):
             return _IntPoly(self.table, self.field, (ints, den))
         return _held_poly(self.table, self.field, ints, den * d)
@@ -562,18 +568,25 @@ class _IntPoly(MultiPoly):
     def _mul_monomial(self, mono):
         ints, d = mono._held()
         (me, n), = ints.items()
+        if type(n) is tuple:  # over Q[t]/(m): a scalar only if n is rational
+            if any(n[1:]):
+                return self._mul_dict(mono)
+            n = n[0]
         return self._scaled(n, d, me)
 
 
 def _held_poly(table, field, ints, den):
-    """The int-held ``sum(ints[e] * x^e) / den`` in normal form: one ``gcd``
+    """The held ``sum(ints[e] * x^e) / den`` in normal form: one ``gcd``
     over the denominator and all ints (zero entries leave it unchanged),
     then one pass that divides by it and drops zero entries, if needed."""
-    g = gcd(den, *ints.values())
+    vec = isinstance(field, QuotientExtension)
+    g = 1 if den == 1 else gcd(den, *(chain.from_iterable(ints.values()) if vec
+                                      else ints.values()))
     if g != 1:
-        ints, den = {e: c // g for e, c in ints.items() if c}, den // g
-    elif not all(ints.values()):
-        ints = {e: c for e, c in ints.items() if c}
+        ints, den = ({e: tuple([x // g for x in v]) for e, v in ints.items() if any(v)} if vec
+                     else {e: c // g for e, c in ints.items() if c}), den // g
+    elif not all(map(any, ints.values()) if vec else ints.values()):
+        ints = {e: c for e, c in ints.items() if (any(c) if vec else c)}
     return _IntPoly(table, field, (ints, den))
 
 
@@ -614,9 +627,7 @@ def substitute(poly: MultiPoly, images: dict, into: VarTable | None = None
                     f"images use tables {target.names} and {val.table.names}")
             if val.field != f:
                 raise FieldMismatch(f"image of {name!r} lives over {val.field}, not {f}")
-            img_polys[name] = val
-        else:
-            img_polys[name] = val  # constant; coerced once the table is known
+        img_polys[name] = val  # a constant is coerced once the table is known
     if target is None:
         target = poly.table
     for name, val in img_polys.items():
@@ -624,14 +635,14 @@ def substitute(poly: MultiPoly, images: dict, into: VarTable | None = None
             img_polys[name] = MultiPoly.const(target, f, val)
 
     # variables that keep their own name
-    n = len(poly.table)
+    n, keys = len(poly.table), poly._stored()
     for i, name in enumerate(poly.table.names):
-        if name not in img_polys and any(e[i] for e in poly.terms):
+        if name not in img_polys and any(e[i] for e in keys):
             img_polys[name] = MultiPoly.var(target, f, name)
 
     # Laurent safety check
     neg_vars = set()
-    for e in poly.terms:
+    for e in keys:
         for i, k in enumerate(e):
             if k < 0:
                 neg_vars.add(poly.table.names[i])
@@ -648,7 +659,7 @@ def substitute(poly: MultiPoly, images: dict, into: VarTable | None = None
     one, fmul = f.one, f.mul
     maps, multi = [], []
     for i in range(n):
-        if not any(e[i] for e in poly.terms):
+        if not any(e[i] for e in keys):
             continue
         img = img_polys[names[i]]
         if len(img) == 1:
@@ -658,9 +669,13 @@ def substitute(poly: MultiPoly, images: dict, into: VarTable | None = None
         else:
             multi.append((i, img))
 
+    # a held polynomial maps its held values when no image scales them
+    vec = isinstance(f, QuotientExtension)
+    held = (vec or type(poly) is _IntPoly) and all(p is None for _, _, p in maps)
+    terms, den = poly._held() if held else (poly.terms, None)
     width = len(target)
     grouped: dict[tuple, list] = {}
-    for e, c in poly.terms.items():
+    for e, c in terms.items():
         exps = [0] * width
         for i, moves, powers in maps:
             k = e[i]
@@ -676,11 +691,9 @@ def substitute(poly: MultiPoly, images: dict, into: VarTable | None = None
         grouped.setdefault(key, []).append((tuple(exps), c))
     if not grouped:
         return MultiPoly.zero(target, f)
-    groups = {}
-    for key, pairs in grouped.items():
-        groups[key] = terms = {}
-        _accumulate(terms, pairs, f)
-    return _horner(groups, [img for _, img in multi], target, f)
+    groups = {key: _add_into({}, pairs, 1, vec) if held else _accumulate({}, pairs, f)
+              for key, pairs in grouped.items()}
+    return _horner(groups, [img for _, img in multi], target, f, den)
 
 
 def _coeff_power(field, c, k):
@@ -702,16 +715,19 @@ def _power(mul, x, k):
         x = mul(x, x)
 
 
-def _horner(groups, images, target, field):
+def _horner(groups, images, target, field, den=None):
     """Evaluate ``sum over keys of groups[key] * prod(images[i] ** key[i])``.
 
     ``groups`` maps exponent tuples on ``images`` (never negative) to term
-    dicts over ``target``. The first image is the Horner variable: the
-    coefficient of each of its powers is evaluated recursively over the
-    remaining images, then ``((C_n*X + C_{n-1})*X + ...)*X + C_0`` takes
-    one product by ``X`` per degree.
+    dicts over ``target``, or to held dicts over ``den`` if it is given. The
+    first image is the Horner variable: the coefficient of each of its
+    powers is evaluated recursively over the remaining images, then
+    ``((C_n*X + C_{n-1})*X + ...)*X + C_0`` takes one product by ``X`` per
+    degree.
     """
     if not images:
+        if den is not None:
+            return _held_poly(target, field, groups[()], den)
         return MultiPoly(target, field, groups[()], _clean=False)
     x, rest = images[0], images[1:]
     by_degree: dict[int, dict] = {}
@@ -721,9 +737,9 @@ def _horner(groups, images, target, field):
     for k in range(max(by_degree), -1, -1):
         if acc is not None:
             acc = acc * x
-        sub = by_degree.get(k)
-        if sub is not None:
-            ck = _horner(sub, rest, target, field)
+        part = by_degree.get(k)
+        if part is not None:
+            ck = _horner(part, rest, target, field, den)
             acc = ck if acc is None else acc + ck
     return acc
 

@@ -35,9 +35,10 @@ class CheckBuilder:
     """Accumulates expectations for one check and stamps the wall time.
 
     ``expect_zero`` records a polynomial (or other printable) that must be
-    zero; ``expect`` records a named boolean condition.  Failures flip the
-    status and keep the offending value in ``residuals`` so reports show the
-    exact discrepancy.
+    zero; ``expect`` records a named boolean condition, with a ``detail``
+    string or a callable that builds it only if the condition fails.
+    Failures flip the status and keep the offending value in ``residuals``
+    so reports show the exact discrepancy.
     """
 
     def __init__(self, check_id: str, **inputs):
@@ -55,11 +56,11 @@ class CheckBuilder:
             self.failed = True
         return ok
 
-    def expect(self, name: str, cond: bool, detail: str = "") -> bool:
+    def expect(self, name: str, cond: bool, detail="") -> bool:
         if cond:
             self.residuals[name] = "ok"
         else:
-            self.residuals[name] = detail or "failed"
+            self.residuals[name] = (detail() if callable(detail) else detail) or "failed"
             self.failed = True
         return cond
 

@@ -53,6 +53,7 @@ from a2bundle.fibration import (
     transition_function,
 )
 from a2bundle.fields import QQ, PrimeField, Rationals
+from a2bundle.report import CheckBuilder
 from a2bundle.maps import flatten
 from a2bundle.poly import (
     MultiPoly,
@@ -438,6 +439,60 @@ def test_traced_certs_run_records_every_boundary(tmp_path):
              if r[tracer.NAME] == search and r[tracer.WORK]]
     confirmed = {r[tracer.PARENT] for r in rows if r[tracer.NAME] == check}
     assert found and set(found) <= confirmed
+
+def test_traced_verify_ext_run_records_every_boundary(tmp_path):
+    """A traced ``verify all`` over ext:t^2+1, the benchmark's verify-ext
+    workload: it exits 0 and every boundary of the traced verify gate
+    records calls, the field's ``add``, ``mul``, ``div`` and ``inv``
+    included, although held polynomials add and multiply without them."""
+    root = Path(__file__).resolve().parents[1]
+    bench = root / "perfbench"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        (str(root / "src"), str(bench))))
+    proc = subprocess.run(
+        [sys.executable, str(bench / "child.py"), "verify", "--field",
+         "ext:t^2+1", "--spans", str(tmp_path / "spans.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["rc"] == 0
+    sys.path.insert(0, str(bench))
+    try:
+        import layers
+    finally:
+        sys.path.remove(str(bench))
+    assert layers.missing_boundaries("verify", out["calls"]) == []
+
+
+@pytest.mark.parametrize("field, payload, residual", [
+    ("q", "x", "3/4*a^2*x^4*b^-3 + a*x^3*b^-2"),
+    ("ext:t^2+1", "t*x", "(3*t - 1/4)*a^2*x^4*b^-3 + (2*t - 1)*a*x^3*b^-2"),
+])
+def test_prop45_check_formats_details_only_on_failure(monkeypatch, field, payload,
+                                                      residual):
+    """Every detail ``prop45_check`` hands to ``expect`` is a callable; a
+    passing check calls none of them, and a failing congruence reports the
+    truncated residual, the same string as when details were formatted
+    eagerly."""
+    called, expect = [], CheckBuilder.expect
+
+    def spying(self, name, cond, detail=""):
+        assert callable(detail), name
+
+        def counted():
+            called.append(name)
+            return detail()
+        return expect(self, name, cond, counted)
+
+    monkeypatch.setattr(CheckBuilder, "expect", spying)
+    F = field_from_descriptor(field)
+    f_b, g_b, m, q = congruence_data("ex46", F)
+    assert prop45_check(f_b, g_b, m, q).ok
+    assert called == []
+    bad = prop45_check(f_b, g_b, m, ppoly(payload, F))
+    assert called == ["congruence-mod-a^m"]
+    assert bad.residuals["congruence-mod-a^m"] == residual
+
 
 def test_certs_stream_calls_rational_add_and_mul(monkeypatch):
     """One operation of each kind of the benchmark's ``certs`` stream, over

@@ -277,13 +277,14 @@ def assert_element(field, got, want):
     assert any(ints) or got is field.zero
 
 
-def test_reduction_rows_share_one_denominator():
-    den, rows = EXTS[0]._rows
-    assert den == 1 and rows == [[(0, -1)]]  # t^2 = -1
-    den, rows = EXTS[1]._rows
-    assert den == 1 and rows == [[(0, 2)], [(1, 2)]]  # t^3 = 2, t^4 = 2t
-    den, rows = EXT._rows
-    assert den == 5 and rows == [[(0, 1)]]  # t^2 = 1/5
+def test_reduction_modulus_is_primitive():
+    # the primitive integer multiple of m, low to high, and the growth
+    # factor L + C of one pseudo-division step: its leading coefficient L
+    # plus the largest absolute value C among the others
+    assert EXTS[0]._mod == ([1, 0, 1], 2)  # t^2 + 1
+    assert EXTS[1]._mod == ([-2, 0, 0, 1], 3)  # t^3 - 2
+    assert EXT._mod == ([-1, 0, 5], 6)  # 5t^2 - 1, not the monic t^2 - 1/5
+    assert QuotientExtension((Fraction(-3), 0, 0, Fraction(2)))._mod == ([-3, 0, 0, 2], 5)
 
 
 @pytest.mark.parametrize("field", EXTS, ids=EXT_IDS)

@@ -1,7 +1,7 @@
 import contextlib
 import io
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -20,6 +20,7 @@ from a2bundle.errors import (
     UnexpectedVariable,
     VarTableMismatch,
 )
+from a2bundle.exprio import field_from_descriptor
 from a2bundle.fields import QQ, PrimeField, QuotientExtension
 from a2bundle.poly import (
     MultiPoly,
@@ -280,6 +281,9 @@ def test_packed_extension_width(field):
     p, q = x.scale(u) + y.scale(u), x.scale(w) - y.scale(w)
     assert_kernel_matches_oracle(p, q)
     assert (1, 1) not in (p * q).terms
+    # the primitive integer multiple of m, which the kernel reduces by
+    den = lcm(*[c.denominator for c in field.minpoly])
+    mod = [int(c * den) for c in field.minpoly]
     # every component of every pair is M * -N: the x^(k-1) output sums k pairs
     # of d products each, so its middle component is the most negative value
     # the packing width allows for
@@ -288,10 +292,29 @@ def test_packed_extension_width(field):
         p = sum((x ** i).scale((m,) * d) for i in range(k))
         q = sum((x ** j).scale((-n,) * d) for j in range(k))
         assert_kernel_matches_oracle(p, q)
-        width, _, ai, bi = poly._pack_vectors(p.terms, q.terms, d)
-        comps = [c for s in poly._convolve(ai, bi).values()
-                 for c in poly._digits(s, width, 2 * d - 1)]
+        (a, _), (b, _) = p._held(), q._held()
+        # the product in Z[t] by schoolbook, then its pseudo-remainder by mod
+        # in d - 1 steps, each step multiplying by the leading coefficient
+        want = {}
+        for e1, u in a.items():
+            for e2, v in b.items():
+                e = tuple(map(sum, zip(e1, e2)))
+                prod = want.setdefault(e, [0] * (2 * d - 1))
+                for i, ui in enumerate(u):
+                    for j, vj in enumerate(v):
+                        prod[i + j] += ui * vj
+        comps = [c for prod in want.values() for c in prod]
         assert min(comps) == -m.numerator * n.numerator * d * k
+        for prod in want.values():
+            for top in range(2 * d - 2, d - 1, -1):
+                lead = prod[top]
+                prod[:] = [c * mod[-1] for c in prod]
+                for i, c in enumerate(mod):
+                    prod[top - d + i] -= lead * c
+            del prod[d:]
+        ints, scale = poly._mul_vectors(a, b, field)
+        assert scale == mod[-1] ** (d - 1)
+        assert ints == {e: tuple(r) for e, r in want.items() if any(r)}
 
 
 @pytest.mark.parametrize("field", [QQ, F11, EXT_I], ids=["q", "fp:11", "ext:t^2+1"])
@@ -750,7 +773,7 @@ def test_ring_descriptor():
 
 
 def int_held(p):
-    """``p`` over Q as an int-held polynomial."""
+    """``p`` over Q or Q[t]/(m) as a held polynomial."""
     return poly._IntPoly(p.table, p.field, p._held())
 
 
@@ -850,10 +873,11 @@ def test_int_held_equality_both_ways(p, q):
 
 
 @pytest.mark.parametrize("field", ["fp:11", "ext:t^2+1"])
-def test_verify_off_q_builds_no_int_held_polynomial(monkeypatch, field):
+def test_verify_off_q_holds_no_q_polynomial_beyond_ex23_ex24(monkeypatch, field):
     """Every check of ``verify all`` over another field leaves the Q store
     alone, except ex23 and ex24, which build their samples over Q whatever
-    the field."""
+    the field. Over F_p nothing else is held; over Q[t]/(m) polynomials
+    are held over that field, and over ext:5t^2-1 in ex47."""
     built = {}
     init = poly._IntPoly.__init__
 
@@ -865,5 +889,143 @@ def test_verify_off_q_builds_no_int_held_polynomial(monkeypatch, field):
     for check_id in VERIFY_IDS:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["verify", check_id, "--field", field]) == 0
-    assert set(built) <= {"ex23", "ex24"}
-    assert all(fields == {QQ} for fields in built.values())
+    assert {c for c, fields in built.items() if QQ in fields} <= {"ex23", "ex24"}
+    own = {f for fields in built.values() for f in fields} - {QQ}
+    if field == "fp:11":
+        assert own == set()
+    else:
+        assert own == {field_from_descriptor(field), field_from_descriptor("ext:5t^2-1")}
+
+
+# ------------------------------------------------- the held Q[t]/(m) store
+
+HELD_EXTS = [EXT_I, EXT_CBRT2, EXT_5, field_from_descriptor("ext:2t^3-3")]
+HELD_EXT_IDS = ["ext:t^2+1", "ext:t^3-2", "ext:5t^2-1", "ext:2t^3-3"]
+
+
+def ext_polys(field, **kw):
+    """Laurent polynomials over ``field`` with full-length coefficient
+    vectors, built term by term."""
+    cs = st.tuples(*[coeffs] * field.degree)
+    return polys_over(T2, field, cs, exps2, **kw)
+
+
+def field_sum(p, q, sign=1):
+    """``p + sign*q`` through the field's own ``add``/``neg``, as an oracle."""
+    f = p.field
+    out = dict(p.terms)
+    for e, c in q.terms.items():
+        c = c if sign == 1 else f.neg(c)
+        out[e] = f.add(out[e], c) if e in out else c
+    return {e: c for e, c in out.items() if not f.is_zero(c)}
+
+
+def assert_held_ext(got, want, is_held=True):
+    """``got``'s held pair is in normal form and its ``terms`` read as the raw
+    dict ``want``; with ``is_held``, ``got`` is held itself (a zero operand,
+    or a monomial with coefficient 1, may short-cut a product to a plain
+    result)."""
+    assert type(got) is poly._IntPoly or not is_held
+    ints, den = got._held()
+    d = got.field.degree
+    assert type(den) is int and den > 0
+    assert all(type(v) is tuple and len(v) == d and any(v) for v in ints.values())
+    assert all(type(x) is int for v in ints.values() for x in v)
+    assert gcd(den, *[x for v in ints.values() for x in v]) == 1
+    assert got.terms == want
+    assert got.terms.keys() == ints.keys()
+
+
+@pytest.mark.parametrize("field", HELD_EXTS, ids=HELD_EXT_IDS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_held_ext_products_match_generic(field, data):
+    p = data.draw(ext_polys(field, min_size=1, max_size=8))
+    q = data.draw(ext_polys(field, min_size=1, max_size=8))
+    want = generic_product(p, q)
+    for u, v in ((p, q), (int_held(p), q), (p, int_held(q)), (int_held(p), int_held(q))):
+        assert_held_ext(u * v, want, len(p) > 1 and len(q) > 1)
+
+
+@pytest.mark.parametrize("field", HELD_EXTS, ids=HELD_EXT_IDS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_held_ext_sums_negation_and_monomials(field, data):
+    p = data.draw(ext_polys(field, max_size=8))
+    q = data.draw(ext_polys(field, max_size=8))
+    for u, v in ((p, q), (int_held(p), q), (p, int_held(q)), (int_held(p), int_held(q))):
+        assert_held_ext(u + v, field_sum(p, q))
+        assert_held_ext(u - v, field_sum(p, q, -1))
+    # sums that cancel to zero, in full and in part
+    for u in (p, int_held(p)):
+        assert_held_ext(u - p, {})
+        assert (u - p)._pair == ({}, 1)
+    assert_held_ext((p + q) - q, {e: c for e, c in p.terms.items()})
+    assert_held_ext(-int_held(p), {e: field.neg(c) for e, c in p.terms.items()})
+    assert_held_ext(-p, {e: field.neg(c) for e, c in p.terms.items()}, False)
+    # monomial products and shifts: a vector coefficient, a rational one
+    me = data.draw(exps2)
+    shifted = {tuple(x + y for x, y in zip(e, me)): c for e, c in p.terms.items()}
+    assert_held_ext(int_held(p).shift_exponents(me), shifted)
+    vector = data.draw(nonzero(field, st.tuples(*[coeffs] * field.degree)))
+    rational = data.draw(nonzero(field, coeffs))
+    for c in (vector, rational):
+        raw = field.coerce(c)
+        mono = MultiPoly.monomial(T2, field, me, raw)
+        want = {e: field.mul(v, raw) for e, v in shifted.items()}
+        unit = raw == field.one
+        for m in (mono, int_held(mono)):
+            for u in (p, int_held(p)):
+                assert_held_ext(u * m, want, not unit and len(p) > 0)
+                assert_held_ext(m * u, want, not unit and len(p) > 0)
+        assert_held_ext(int_held(p).scale(raw),
+                        {e: field.mul(v, raw) for e, v in p.terms.items()})
+    k = data.draw(st.integers(-4, 6))
+    assert_held_ext(truncate_var(int_held(p), "x", k),
+                    {e: c for e, c in p.terms.items() if e[0] < k})
+
+
+@pytest.mark.parametrize("field", HELD_EXTS, ids=HELD_EXT_IDS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_held_ext_equality_and_substitution(field, data):
+    p = data.draw(ext_polys(field, max_size=8))
+    q = data.draw(ext_polys(field, max_size=8))
+    same = p.terms == q.terms
+    for u in (p, int_held(p)):
+        for v in (q, int_held(q)):
+            assert (u == v) is same and (v == u) is same
+    assert int_held(p) == p and p == int_held(p)
+    # per-term built and held forms of one sum compare equal both ways
+    built = MultiPoly(T2, field, field_sum(p, q))
+    assert p + q == built and built == p + q
+    # substitution against the term-by-term oracle: on the held values, and
+    # through the terms when an image scales them
+    vectors = st.tuples(*[coeffs] * field.degree)
+    r = data.draw(polys_over(T2, field, vectors, nn_exps2, max_size=8))
+    img = data.draw(ext_polys(field, min_size=2, max_size=4))
+    y = MultiPoly.var(T2, field, "y")
+    scaled = y.scale(data.draw(nonzero(field, vectors)))
+    for u in (r, int_held(r)):
+        for images in ({"x": img}, {"x": int_held(img), "y": y * y + 1}, {"y": scaled}):
+            assert_held_ext(substitute(u, images), naive_substitute(r, images),
+                            bool(r) and images.get("y") is not scaled)
+
+
+@pytest.mark.parametrize("field", HELD_EXTS, ids=HELD_EXT_IDS)
+def test_held_ext_products_and_sums_build_no_field_element(monkeypatch, field):
+    x = MultiPoly.var(T2, field, "x")
+    y = MultiPoly.var(T2, field, "y")
+    t = MultiPoly.const(T2, field, field.generator)
+    p = int_held(t * x ** 2 + y - x.scale(Fraction(2, 3)))
+    q = int_held(x * y.scale(Fraction(5, 7)) + t * t * y + 1)
+    want = generic_product(p, q)
+
+    def refuse(self, v, den):
+        raise AssertionError("a held product or sum built a field element")
+
+    monkeypatch.setattr(QuotientExtension, "_from_ints", refuse)
+    prod, total = p * q, p + q - q
+    monkeypatch.undo()
+    assert_held_ext(prod, want)
+    assert_held_ext(total, p.terms)
