@@ -25,7 +25,6 @@ element deeper into one chart while keeping both words explicit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .errors import (
     CharTwoField,
@@ -33,6 +32,7 @@ from .errors import (
     JacobianNotUnit,
     MembershipError,
     PreconditionViolated,
+    Record,
     ShapeError,
 )
 from .exprio import field_from_descriptor, parse, to_expr
@@ -80,8 +80,7 @@ def to_plane(p: MultiPoly) -> MultiPoly:
     return substitute(p, {}, into=PLANE)
 
 
-@dataclass(frozen=True)
-class BivariableCert:
+class BivariableCert(Record):
     """A machine-checked pair of chart coordinate systems sharing ``omega``.
 
     Instances should come out of :func:`certify` (directly or through the
@@ -89,12 +88,12 @@ class BivariableCert:
     single source of truth.
     """
 
-    omega: MultiPoly        # the shared element, in k[a,b][x,y]
-    alpha_word: tuple       # a-chart word, Jacobian normalised to 1
-    beta_word: tuple        # b-chart word, Jacobian normalised to 1
-    f: TransitionFunction   # alpha o beta^{-1} == (x, y + f(x))
-    tau_a: MultiPoly        # second coordinate of the a-chart system
-    tau_b: MultiPoly        # second coordinate of the b-chart system
+    __slots__ = ("omega",       # the shared element, in k[a,b][x,y]
+                 "alpha_word",  # a-chart word, Jacobian normalised to 1
+                 "beta_word",   # b-chart word, Jacobian normalised to 1
+                 "f",           # TransitionFunction: alpha o beta^{-1} == (x, y + f(x))
+                 "tau_a",       # second coordinate of the a-chart system
+                 "tau_b")       # second coordinate of the b-chart system
 
     @property
     def field(self) -> FieldSpec:

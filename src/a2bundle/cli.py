@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .bivariable import (
     cert_from_json,
@@ -121,7 +120,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _finish(checks, field, args, text_override: str | None = None) -> int:
-    report = VerificationReport(field=field.descriptor(), checks=checks)
+    report = VerificationReport(field.descriptor(), checks)
     if args.fmt == "json":
         _emit(report.to_json(), args.out)
     elif text_override is not None:
@@ -159,7 +158,7 @@ def _cmd_verify(args, field) -> int:
             checks.extend(run(args, field))
         except AlgebraError as exc:
             b.expect("exception", False, f"{type(exc).__name__}: {exc}")
-            checks.append(replace(b.done(), status="error"))
+            checks.append(b.done("error"))
     return _finish(checks, field, args)
 
 

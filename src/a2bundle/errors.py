@@ -1,9 +1,48 @@
-"""Exception hierarchy shared by every module.
+"""Exception hierarchy shared by every module, and :class:`Record`, the base of
+the package's immutable value classes.
 
 Everything algebraic raises a subclass of :class:`AlgebraError`, so callers
 (and the CLI) can distinguish "the verification failed" from "the inputs were
 malformed" with a single except clause.
 """
+
+
+class Record:
+    """Immutable value with its ``__slots__`` set positionally. Equal when
+    identical (tested first: a field spec meets itself in every polynomial
+    operation) or of one class with equal ``_key()``: the leading slots that
+    are fields, where later slots hold values derived from them."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def _key(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        return self is other or (self._key() == other._key() if type(other) is type(self)
+                                 else NotImplemented)
+
+    def __ne__(self, other):  # the inherited one would add a call to __eq__
+        return self is not other and (self._key() != other._key() if type(other) is type(self)
+                                      else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._key()))
+        return f"{type(self).__name__}({fields})"
 
 
 class AlgebraError(Exception):

@@ -22,9 +22,7 @@ CLI can render honest failure reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import NoPolynomialSInRange, PreconditionViolated
+from .errors import NoPolynomialSInRange, PreconditionViolated, Record
 from .exprio import parse
 from .fields import QQ, FieldSpec
 from .maps import PolyMap, Scale, Triangular, flatten, invert
@@ -47,14 +45,13 @@ PLANE = VarTable(("a", "b", "x"), laurent=("a", "b"))
 PVAR = VarTable(("z",))
 
 
-@dataclass(frozen=True)
-class FibrationSpec:
+class FibrationSpec(Record):
     """Defining data: univariate ``P`` (in ``z``, degree >= 2) and ``n >= 1``."""
 
-    P: MultiPoly
-    n: int
+    __slots__ = ("P", "n")
 
-    def __post_init__(self):
+    def __init__(self, P: MultiPoly, n: int):
+        super().__init__(P, n)
         if self.P.table.names != PVAR.names:
             raise PreconditionViolated(
                 f"P must be univariate in z, got table {self.P.table.names}")
@@ -203,16 +200,12 @@ def transition_formula(spec: FibrationSpec, m: int) -> MultiPoly:
     return formal_transition(spec, m)
 
 
-@dataclass(frozen=True)
-class TransitionFunction:
+class TransitionFunction(Record):
     """A transition function together with its minimal clearing data:
     ``m_min``/``n_min`` are the smallest nonnegative exponents making
     ``p_num = a^m_min * b^n_min * f`` a polynomial."""
 
-    f: MultiPoly
-    m_min: int
-    n_min: int
-    p_num: MultiPoly
+    __slots__ = ("f", "m_min", "n_min", "p_num")
 
     @classmethod
     def from_poly(cls, f: MultiPoly) -> "TransitionFunction":

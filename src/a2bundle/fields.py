@@ -18,12 +18,11 @@ All arithmetic is exact; nothing here ever touches floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import lshift
 
-from .errors import BadFieldSpec, DivisionByZero, FieldMismatch
+from .errors import BadFieldSpec, DivisionByZero, FieldMismatch, Record
 
 
 #: Miller-Rabin with the prime bases 2..41 is deterministic below this bound
@@ -60,8 +59,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-class FieldSpec:
+class FieldSpec(Record):
     """Common interface of the three concrete field kinds."""
+
+    __slots__ = ()
 
     def elem(self, value) -> "FieldElem":
         return FieldElem(self, self.coerce(value))
@@ -70,10 +71,10 @@ class FieldSpec:
     # mul, neg, inv, div, is_zero, coeff_str, descriptor
 
 
-@dataclass(frozen=True)
 class Rationals(FieldSpec):
     """The rational numbers with arbitrary-precision Fraction arithmetic."""
 
+    __slots__ = ()
     zero = Fraction(0)
     one = Fraction(1)
     characteristic = 0
@@ -125,15 +126,15 @@ class Rationals(FieldSpec):
         return "Q"
 
 
-@dataclass(frozen=True)
 class PrimeField(FieldSpec):
     """F_p for a prime p; elements are canonical residues in [0, p)."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise BadFieldSpec(f"{self.p} is not prime")
+    def __init__(self, p: int):
+        if not _is_prime(p):
+            raise BadFieldSpec(f"{p} is not prime")
+        super().__init__(p)
 
     zero = 0
     one = 1
@@ -262,7 +263,6 @@ def _t_poly_str(coeffs):
     return lead_neg, out, needs_parens
 
 
-@dataclass(frozen=True)
 class QuotientExtension(FieldSpec):
     """Q[t]/(m(t)) for an irreducible m of degree 2 or 3.
 
@@ -284,10 +284,10 @@ class QuotientExtension(FieldSpec):
     coefficient plus the largest absolute value of the others.
     """
 
-    minpoly: tuple[Fraction, ...]
+    __slots__ = ("minpoly", "degree", "zero", "one", "generator", "_mod")
 
-    def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.minpoly)
+    def __init__(self, minpoly: tuple[Fraction, ...]):
+        coeffs = tuple(Fraction(c) for c in minpoly)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         deg = len(coeffs) - 1
@@ -300,14 +300,13 @@ class QuotientExtension(FieldSpec):
         if _rational_roots_exist(coeffs):
             raise BadFieldSpec("minimal polynomial is reducible over Q (rational root)")
         zeros = (0,) * deg
-        object.__setattr__(self, "minpoly", coeffs)
-        object.__setattr__(self, "degree", deg)
-        object.__setattr__(self, "zero", (zeros, 1))
-        object.__setattr__(self, "one", ((1,) + zeros[1:], 1))
-        object.__setattr__(self, "generator", ((0, 1) + zeros[2:], 1))  # t
         den = lcm(*[c.denominator for c in coeffs])  # m * den is primitive
         ints = [int(c * den) for c in coeffs]
-        object.__setattr__(self, "_mod", (ints, den + max(map(abs, ints[:-1]))))
+        super().__init__(coeffs, deg, (zeros, 1), ((1,) + zeros[1:], 1),
+                         ((0, 1) + zeros[2:], 1), (ints, den + max(map(abs, ints[:-1]))))
+
+    def _key(self):  # the other slots are derived from minpoly
+        return (self.minpoly,)
 
     characteristic = 0
 
@@ -438,12 +437,10 @@ class QuotientExtension(FieldSpec):
 QQ = Rationals()
 
 
-@dataclass(frozen=True)
-class FieldElem:
+class FieldElem(Record):
     """A field element tagged with its field; thin wrapper over raw values."""
 
-    spec: FieldSpec
-    value: object
+    __slots__ = ("spec", "value")
 
     def _check(self, other):
         if not isinstance(other, FieldElem):

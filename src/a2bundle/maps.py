@@ -35,13 +35,12 @@ Generators:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     CongruenceFailed,
     InvalidGenerator,
     MembershipError,
     NotDivisible,
+    Record,
 )
 from .poly import MultiPoly, RingDescriptor, VarTable, divide_exact, substitute
 
@@ -49,14 +48,13 @@ from .poly import MultiPoly, RingDescriptor, VarTable, divide_exact, substitute
 # ---------------------------------------------------------------- generators
 
 
-@dataclass(frozen=True)
-class Triangular:
+class Triangular(Record):
     """``var += shift``; the shift must not involve ``var``."""
 
-    var: str
-    shift: MultiPoly
+    __slots__ = ("var", "shift")
 
-    def __post_init__(self):
+    def __init__(self, var: str, shift: MultiPoly):
+        super().__init__(var, shift)
         if self.var not in self.shift.table:
             raise InvalidGenerator(f"unknown variable {self.var!r}")
         if self.shift.involves(self.var):
@@ -74,14 +72,13 @@ class Triangular:
         return f"{self.var} += {self.shift}"
 
 
-@dataclass(frozen=True)
-class Scale:
+class Scale(Record):
     """``var *= unit`` for a single-term ``unit`` not involving ``var``."""
 
-    var: str
-    unit: MultiPoly
+    __slots__ = ("var", "unit")
 
-    def __post_init__(self):
+    def __init__(self, var: str, unit: MultiPoly):
+        super().__init__(var, unit)
         if self.var not in self.unit.table:
             raise InvalidGenerator(f"unknown variable {self.var!r}")
         if not self.unit.is_monomial():
@@ -123,15 +120,14 @@ class Scale:
         return f"{self.var} *= {self.unit}"
 
 
-@dataclass(frozen=True)
-class Permute:
+class Permute(Record):
     """Simultaneous relabeling: the new ``v`` is the old ``mapping[v]``."""
 
-    mapping: tuple  # tuple of (new, old) name pairs
+    __slots__ = ("mapping",)  # tuple of (new, old) name pairs
 
     def __init__(self, mapping):
         pairs = tuple(sorted(dict(mapping).items()))
-        object.__setattr__(self, "mapping", pairs)
+        super().__init__(pairs)
         dom = [p[0] for p in pairs]
         rng = [p[1] for p in pairs]
         if sorted(dom) != sorted(rng):
@@ -157,8 +153,7 @@ class Permute:
         return "relabel(" + ", ".join(moved) + ")"
 
 
-@dataclass(frozen=True)
-class Lemma41Block:
+class Lemma41Block(Record):
     """Torus-glueing block; see the module docstring for the point map.
 
     ``q``, ``f`` and ``g`` are univariate polynomials written in ``var_x``
@@ -166,15 +161,11 @@ class Lemma41Block:
     and ``var_y``); ``scalar`` is the base element ``A``.
     """
 
-    var_x: str
-    var_y: str
-    scalar: MultiPoly
-    m: int
-    q: MultiPoly
-    f: MultiPoly
-    g: MultiPoly
+    __slots__ = ("var_x", "var_y", "scalar", "m", "q", "f", "g")
 
-    def __post_init__(self):
+    def __init__(self, var_x: str, var_y: str, scalar: MultiPoly, m: int,
+                 q: MultiPoly, f: MultiPoly, g: MultiPoly):
+        super().__init__(var_x, var_y, scalar, m, q, f, g)
         table = self.scalar.table
         if self.var_x not in table or self.var_y not in table:
             raise InvalidGenerator("block variables missing from the table")

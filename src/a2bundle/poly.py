@@ -40,7 +40,6 @@ the groups are evaluated by Horner's rule, one product per degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
@@ -55,29 +54,29 @@ from .errors import (
     NonInvertibleImageForLaurentVariable,
     NotDivisible,
     NotInAmbientRing,
+    Record,
     UnexpectedVariable,
     VarTableMismatch,
 )
 from .fields import FieldElem, FieldSpec, PrimeField, QuotientExtension, Rationals
 
 
-@dataclass(frozen=True)
-class VarTable:
+class VarTable(Record):
     """Ordered variable names plus which ones may be *written* inverted.
 
     The ``laurent`` entry is consulted only by the expression parser/printer;
     internally any variable can carry negative exponents.
     """
 
-    names: tuple[str, ...]
-    laurent: tuple[str, ...] = ()
+    __slots__ = ("names", "laurent")
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise VarTableMismatch(f"duplicate variable names in {self.names}")
-        for v in self.laurent:
-            if v not in self.names:
+    def __init__(self, names: tuple[str, ...], laurent: tuple[str, ...] = ()):
+        if len(set(names)) != len(names):
+            raise VarTableMismatch(f"duplicate variable names in {names}")
+        for v in laurent:
+            if v not in names:
                 raise UnexpectedVariable(f"laurent flag for unknown variable {v!r}")
+        super().__init__(names, laurent)
 
     def index(self, name: str) -> int:
         try:
@@ -869,8 +868,7 @@ def split_negative_parts(f: MultiPoly, a_name: str, b_name: str
 # ------------------------------------------------------------- memberships
 
 
-@dataclass(frozen=True)
-class RingDescriptor:
+class RingDescriptor(Record):
     """A subring of the Laurent ring cut out by exponent conditions.
 
     ``lower`` holds a per-variable lower bound (0) or None for no bound;
@@ -879,13 +877,11 @@ class RingDescriptor:
     two variables must stay nonnegative.
     """
 
-    table: VarTable
-    lower: tuple
-    sums: tuple = ()
+    __slots__ = ("table", "lower", "sums")
 
     @classmethod
     def polynomials(cls, table: VarTable):
-        return cls(table, (0,) * len(table))
+        return cls(table, (0,) * len(table), ())
 
     def allow_negative(self, *names):
         idxs = {self.table.index(n) for n in names}

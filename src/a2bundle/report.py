@@ -12,19 +12,17 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field as dfield
+
+from .errors import Record
 
 SCHEMA_VERSION = "1"
 
 
-@dataclass
-class CheckResult:
-    check_id: str
-    inputs: dict
-    status: str = "pass"  # "pass" | "fail" | "error"
-    residuals: dict = dfield(default_factory=dict)
-    witness: dict = dfield(default_factory=dict)
-    millis: int = 0
+class CheckResult(Record):
+    """One check's outcome; ``status`` is "pass", "fail" or "error", and
+    ``millis`` its wall time rounded to the nearest millisecond."""
+
+    __slots__ = ("check_id", "inputs", "status", "residuals", "witness", "millis")
 
     @property
     def ok(self) -> bool:
@@ -68,22 +66,15 @@ class CheckBuilder:
         for k, v in kv.items():
             self.witness_data[k] = v if isinstance(v, (int, str)) else str(v)
 
-    def done(self) -> CheckResult:
-        return CheckResult(
-            check_id=self.check_id,
-            inputs=self.inputs,
-            status="fail" if self.failed else "pass",
-            residuals=self.residuals,
-            witness=self.witness_data,
-            millis=int((time.perf_counter() - self._t0) * 1000),
-        )
+    def done(self, status: str | None = None) -> CheckResult:
+        """The result; a given ``status`` ("error") overrides the verdict."""
+        return CheckResult(self.check_id, self.inputs,
+                           status or ("fail" if self.failed else "pass"), self.residuals,
+                           self.witness_data, round((time.perf_counter() - self._t0) * 1000))
 
 
-@dataclass
-class VerificationReport:
-    field: str
-    checks: list
-    version: str = SCHEMA_VERSION
+class VerificationReport(Record):
+    __slots__ = ("field", "checks")
 
     @property
     def ok(self) -> bool:
@@ -92,9 +83,9 @@ class VerificationReport:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "version": self.version,
+                "version": SCHEMA_VERSION,
                 "field": self.field,
-                "checks": [asdict(c) for c in self.checks],
+                "checks": [dict(zip(c.__slots__, c._key())) for c in self.checks],
             },
             indent=2,
         )

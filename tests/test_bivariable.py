@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -371,8 +370,8 @@ def test_descent_pullbacks_are_chart_differences(descriptor, p_text):
 def test_descent_pullback_congruence_sees_tau_a(monkeypatch, shift, verdict):
     def mutated(*args, **kw):
         hat = extend_a(*args, **kw)
-        return dataclasses.replace(
-            hat, tau_a=hat.tau_a + gpoly(shift, hat.field))
+        return BivariableCert(hat.omega, hat.alpha_word, hat.beta_word, hat.f,
+                              hat.tau_a + gpoly(shift, hat.field), hat.tau_b)
 
     monkeypatch.setattr(bivariable, "extend_a", mutated)
     res = verify_quadratic_descent("z^2")

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from a2bundle import bundles, errors
+from a2bundle import bundles, errors, report
 from a2bundle.bivariable import (
     basic_bivariable,
     cert_from_json,
@@ -53,6 +53,15 @@ def test_transition_json_schema(capsys):
     assert chk["check_id"] == "transition"
     assert chk["witness"]["m_min"] == 3
     assert chk["witness"]["n_min"] == 2
+
+
+def test_millis_is_rounded_to_the_nearest_millisecond(monkeypatch):
+    clock = iter([10.0, 10.0009, 20.0, 20.0004, 30.0, 30.0026])
+    monkeypatch.setattr(report.time, "perf_counter", lambda: next(clock))
+    assert report.CheckBuilder("slow").done().millis == 1
+    assert report.CheckBuilder("fast").done().millis == 0
+    res = report.CheckBuilder("raised").done("error")
+    assert (res.millis, res.status) == (3, "error")
 
 
 def test_transition_rejects_illegal_m(capsys):

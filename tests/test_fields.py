@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -6,14 +7,17 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from a2bundle.errors import BadFieldSpec, DivisionByZero, FieldMismatch
+from a2bundle.errors import BadFieldSpec, DivisionByZero, FieldMismatch, Record
+from a2bundle.exprio import field_from_descriptor, parse
 from a2bundle.fields import (
     QQ,
     FieldElem,
     PrimeField,
     QuotientExtension,
+    Rationals,
     _rational_roots_exist,
 )
+from a2bundle.poly import VarTable
 
 F11 = PrimeField(11)
 # t^2 - 1/5, handed over as 5t^2 - 1 to exercise the monic normalization
@@ -187,6 +191,48 @@ def test_descriptors():
     assert QQ.descriptor() == "q"
     assert F11.descriptor() == "fp:11"
     assert EXT.descriptor() == "ext:t^2-1/5"
+
+
+def test_equal_specs_built_apart_compare_and_hash_equal():
+    pairs = [(PrimeField(11), PrimeField(11)), (Rationals(), QQ),
+             (field_from_descriptor("ext:5t^2-1"), field_from_descriptor("ext:t^2-1/5"))]
+    for a, b in pairs:
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert str(a) == str(b) and repr(a) == repr(b)
+    assert PrimeField(11) != PrimeField(13)
+    assert field_from_descriptor("ext:t^2+1") != EXT
+    for a, b in itertools.combinations([QQ, F11, EXT, FieldElem(F11, 1)], 2):
+        assert a != b and b != a
+    assert F11 != 11 and EXT != EXT.minpoly and QQ != ()
+    assert len({PrimeField(11), F11, QQ, Rationals(), EXT,
+                QuotientExtension((Fraction(-1, 5), 0, 1))}) == 3
+
+
+def test_specs_compare_by_identity_first(monkeypatch):
+    """A spec compared with itself, as every polynomial operation does,
+    never reads its fields; neither do specs of different kinds."""
+    def refuse(self):
+        raise AssertionError("compared fields")
+
+    for cls in (Record, QuotientExtension):
+        monkeypatch.setattr(cls, "_key", refuse)
+    table = VarTable(("x", "y"))
+    for F in (QQ, F11, EXT):
+        assert F == F and not F != F
+        x, y = (parse(v, table, F) for v in "xy")
+        assert (x + y) * (x - y) == x ** 2 - y ** 2
+    assert QQ != F11 and F11 != EXT and EXT != QQ
+
+
+def test_field_specs_are_immutable():
+    for F, name in ((F11, "p"), (EXT, "minpoly"), (EXT, "zero"), (QQ, "zero")):
+        with pytest.raises(AttributeError):
+            setattr(F, name, None)
+    with pytest.raises(AttributeError):
+        del F11.p
+    assert F11.p == 11 and F11.elem(3).value == 3
 
 
 def test_field_mismatch_and_arith_dispatch():

@@ -18,10 +18,15 @@ methods by name, so those names must stay defined as well.
 
 Only ``poly.py`` touches the term store of a ``MultiPoly``: no other module
 reads an attribute named ``terms`` or passes ``_clean=``.
+
+A fresh ``import a2bundle.cli`` loads neither ``dataclasses`` nor ``inspect``.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -138,6 +143,17 @@ def test_perfbench_boundaries_are_defined(monkeypatch):
     missing += [f"{cls.__name__}.{attr}" for cls, attr in owned
                 if not callable(cls.__dict__.get(attr))]
     assert not missing, f"perfbench wraps undefined names: {', '.join(missing)}"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """A fresh ``import a2bundle.cli`` stays free of ``dataclasses`` and of
+    ``inspect``, which only ``dataclasses`` pulled in; together they cost
+    about 20 ms of every ``verify`` process."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = "import sys, a2bundle.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_src_within_seed_line_budget():

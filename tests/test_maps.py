@@ -67,6 +67,24 @@ def test_permute_validation():
         Permute({"x": "y", "y": "y"})
 
 
+def test_generators_are_immutable_values_of_their_own_kind():
+    shift = p("a*y + 1")
+    tri, scale = Triangular("x", shift), Scale("x", p("a"))
+    assert tri == Triangular("x", p("a*y + 1")) and tri != Triangular("y", p("x"))
+    assert Triangular("x", p("a")) != Scale("x", p("a"))
+    assert tri != ("x", shift) and Permute({"x": "y", "y": "x"}) != (("x", "y"), ("y", "x"))
+    assert Permute({"x": "y", "y": "x"}) == Permute({"y": "x", "x": "y"})
+    assert hash(Permute({"x": "y", "y": "x"})) == hash(Permute({"y": "x", "x": "y"}))
+    assert repr(Permute({"x": "y", "y": "x"})) == "Permute(mapping=(('x', 'y'), ('y', 'x')))"
+    with pytest.raises(TypeError):
+        iter(tri)
+    for gen, name in ((tri, "shift"), (scale, "var")):
+        with pytest.raises(AttributeError):
+            setattr(gen, name, one())
+    with pytest.raises(TypeError):
+        RingDescriptor(TAB, (0, 0, 0, 0))  # a missing field, not an unset slot
+
+
 def test_triangular_apply_and_inverse():
     w = (Triangular("x", p("a*y + 1")),)
     m = flatten(w, TAB, QQ, BASE)
