@@ -377,7 +377,7 @@ def _descend(P: MultiPoly, b: CheckBuilder) -> BivariableCert:
     b.expect_zero("element-shift", hat.omega - cert.omega - delta)
     b.expect("shift-in-a^2-ring",
              RING_B.contains(delta) and delta.min_degree_in("a") >= 2,
-             str(delta))
+             lambda: str(delta))
     b.expect("shift-square-mod-a^4",
              congruent_mod_power(delta * delta, MultiPoly.zero(GLUE, F),
                                  "a", 4, ambient=RING_B))
@@ -420,36 +420,37 @@ def lemma44_bivariable(P: MultiPoly) -> BivariableCert:
 # ------------------------------------------------------------- serialization
 
 
+#: the generator classes a certificate document names by ``kind``
+_GEN_KINDS = {"triangular": Triangular, "scale": Scale, "permute": Permute,
+              "block": Lemma41Block}
+
+
 def _gen_to_doc(gen) -> dict:
-    if isinstance(gen, Triangular):
-        return {"kind": "triangular", "var": gen.var,
-                "shift": to_expr(gen.shift)}
-    if isinstance(gen, Scale):
-        return {"kind": "scale", "var": gen.var, "unit": to_expr(gen.unit)}
-    if isinstance(gen, Permute):
-        return {"kind": "permute", "mapping": dict(gen.mapping)}
-    if isinstance(gen, Lemma41Block):
-        return {"kind": "block", "var_x": gen.var_x, "var_y": gen.var_y,
-                "scalar": to_expr(gen.scalar), "m": gen.m,
-                "q": to_expr(gen.q), "f": to_expr(gen.f),
-                "g": to_expr(gen.g)}
-    raise ShapeError(f"unknown generator kind {type(gen).__name__}")
+    kind = next((k for k, cls in _GEN_KINDS.items() if isinstance(gen, cls)), None)
+    if kind is None:
+        raise ShapeError(f"unknown generator kind {type(gen).__name__}")
+    doc = {"kind": kind}
+    for name in gen.__slots__:
+        v = getattr(gen, name)
+        doc[name] = (to_expr(v) if isinstance(v, MultiPoly)
+                     else dict(v) if name == "mapping" else v)
+    return doc
 
 
 def _gen_from_doc(doc: dict, field: FieldSpec):
     kind = doc["kind"]
-    if kind == "triangular":
-        return Triangular(doc["var"], parse(doc["shift"], GLUE, field))
-    if kind == "scale":
-        return Scale(doc["var"], parse(doc["unit"], GLUE, field))
-    if kind == "permute":
-        return Permute(doc["mapping"])
-    if kind == "block":
-        return Lemma41Block(
-            doc["var_x"], doc["var_y"], parse(doc["scalar"], GLUE, field),
-            int(doc["m"]), parse(doc["q"], GLUE, field),
-            parse(doc["f"], GLUE, field), parse(doc["g"], GLUE, field))
-    raise ShapeError(f"unknown generator kind {kind!r}")
+    cls = _GEN_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ShapeError(f"unknown generator kind {kind!r}")
+    args = []
+    for name in cls.__slots__:
+        v = doc[name]
+        if name == "m":
+            v = int(v)
+        elif name != "mapping" and not name.startswith("var"):
+            v = parse(v, GLUE, field)  # the remaining slots hold expressions
+        args.append(v)
+    return cls(*args)
 
 
 def cert_to_doc(cert: BivariableCert) -> dict:

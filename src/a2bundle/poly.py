@@ -633,38 +633,25 @@ def substitute(poly: MultiPoly, images: dict, into: VarTable | None = None
         if not isinstance(val, MultiPoly):
             img_polys[name] = MultiPoly.const(target, f, val)
 
-    # variables that keep their own name
-    n, keys = len(poly.table), poly._stored()
-    for i, name in enumerate(poly.table.names):
-        if name not in img_polys and any(e[i] for e in keys):
-            img_polys[name] = MultiPoly.var(target, f, name)
-
-    # Laurent safety check
-    neg_vars = set()
-    for e in keys:
-        for i, k in enumerate(e):
-            if k < 0:
-                neg_vars.add(poly.table.names[i])
-    for name in neg_vars:
-        img = img_polys[name]
-        if not img.is_monomial():
-            raise NonInvertibleImageForLaurentVariable(
-                f"{name!r} occurs with negative exponent but its image has "
-                f"{len(img.terms)} terms")
-
-    # monomial images act on a term's exponents and coefficient; the other
-    # images are evaluated by Horner's rule over groups of terms
-    names = poly.table.names
+    # one pass over the occurring variables: those without an image keep
+    # their name; monomial images act on a term's exponents and coefficient,
+    # the other images are evaluated by Horner's rule over groups of terms
+    keys = poly._stored()
     one, fmul = f.one, f.mul
     maps, multi = [], []
-    for i in range(n):
-        if not any(e[i] for e in keys):
+    for i, name in enumerate(poly.table.names):
+        col = {e[i] for e in keys}
+        if col <= {0}:
             continue
-        img = img_polys[names[i]]
+        img = img_polys[name] if name in img_polys else MultiPoly.var(target, f, name)
         if len(img) == 1:
             (me, mc), = img.terms.items()
             moves = [(j, x) for j, x in enumerate(me) if x]
             maps.append((i, moves, None if mc == one else {1: mc}))
+        elif min(col) < 0:
+            raise NonInvertibleImageForLaurentVariable(
+                f"{name!r} occurs with negative exponent but its image has "
+                f"{len(img)} terms")
         else:
             multi.append((i, img))
 

@@ -413,6 +413,26 @@ def test_cert_doc_tamper_detected():
         cert_from_doc(doc)
 
 
+def test_cert_doc_generator_fields_and_unknown_kinds():
+    # basic_bivariable uses triangular, scale and permute; extend_b adds a block
+    doc = cert_to_doc(extend_b(basic_bivariable(1, 1), 1, 1, gpoly("x^2")))
+    fields = {"triangular": ["var", "shift"], "scale": ["var", "unit"],
+              "permute": ["mapping"],
+              "block": ["var_x", "var_y", "scalar", "m", "q", "f", "g"]}
+    gens = doc["alpha_word"] + doc["beta_word"]
+    assert {g["kind"] for g in gens} == set(fields)
+    for g in gens:
+        assert list(g) == ["kind"] + fields[g["kind"]]
+    assert {"kind": "permute", "mapping": {"x": "y", "y": "x"}} in gens
+    assert all(type(g["m"]) is int for g in gens if g["kind"] == "block")
+    for kind in ("shear", ["block"]):
+        doc["beta_word"][0]["kind"] = kind
+        with pytest.raises(ShapeError, match="unknown generator kind"):
+            cert_from_doc(doc)
+    with pytest.raises(ShapeError, match="unknown generator kind object"):
+        bivariable._gen_to_doc(object())
+
+
 def test_cert_doc_is_json_serialisable():
     doc = cert_to_doc(ex66_bivariable())
     json.dumps(doc)  # must not raise

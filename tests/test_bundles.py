@@ -122,6 +122,14 @@ def test_a1_equiv_no_denominators_on_either_side():
     assert r_b == ppoly("b^-1*x^2")
 
 
+def test_a1_equiv_same_leading_exponent_not_proportional():
+    # the leading doubly-negative terms agree, the next ones do not
+    f = tf_of("a^-1*b^-1*x^2 + a^-1*b^-1*x")
+    g = tf_of("a^-1*b^-1*x^2 + 2*a^-1*b^-1*x")
+    assert a1_equiv(f, g) is None
+    assert a1_equiv(g, f) is None
+
+
 def test_a1_equiv_one_sided_denominator_mismatch():
     assert a1_equiv(tf_of("a^-1*x"), tf_of("a^-1*b^-1*x")) is None
     assert a1_equiv(tf_of("a^-1*b^-1*x"), tf_of("a^-1*x")) is None
@@ -295,6 +303,25 @@ def test_search_candidate_cap_at_its_edge(monkeypatch):
     assert found is not None and found.is_zero()
     with pytest.raises(PreconditionViolated, match="more than 4 candidates"):
         prop45_search(f_b, f_b, m, 4, (0,))  # 5 coefficients
+
+
+@st.composite
+def residual_inputs(draw, F):
+    """``(f_b, g_b, moved, k)`` with ``moved = x + a*Q(f_b(x))``."""
+    a, _, x = MultiPoly.gens(PLANE, F)
+    f_b = plane_terms(draw, F, (0, 2), (0, 2))
+    g_b = plane_terms(draw, F, (0, 2), (0, 3))
+    q = plane_terms(draw, F, (0, 1), (0, 2))
+    return f_b, g_b, x + a * substitute(q, {"x": f_b}), draw(st.integers(1, 4))
+
+
+@pytest.mark.parametrize("desc", ["q", "fp:11", "ext:t^2+1"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_residual_is_the_truncated_composite(desc, data):
+    f_b, g_b, moved, k = data.draw(residual_inputs(field_from_descriptor(desc)))
+    want = truncate_var(substitute(g_b, {"x": moved}) - f_b, "a", k)
+    assert bundles._residual(f_b, g_b, moved, k) == want
 
 
 def enumerated_search(f_b, g_b, m, deg_bound, pool):

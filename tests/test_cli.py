@@ -138,6 +138,24 @@ def test_verify_all_over_cubic_extension(capsys):
     assert all(c["status"] == "pass" for c in doc["checks"])
 
 
+def test_verify_all_formats_no_detail_of_a_passing_expectation(capsys, monkeypatch):
+    # a report prints a detail only when its condition fails, so a holding
+    # condition must come with no detail or a callable that would build it
+    expect, seen, eager = report.CheckBuilder.expect, [], []
+
+    def spy(self, name, cond, detail=""):
+        seen.append(name)
+        if cond and detail != "" and not callable(detail):
+            eager.append(f"{self.check_id}/{name}")
+        return expect(self, name, cond, detail)
+
+    monkeypatch.setattr(report.CheckBuilder, "expect", spy)
+    code, _, _ = run(capsys, "verify", "all", "--field", "q")
+    assert code == 0
+    assert seen
+    assert not eager, f"details formatted on the pass path: {eager}"
+
+
 def test_verify_all_rejects_parameters(capsys):
     code, _, err = run(capsys, "verify", "all", "--n", "2")
     assert code == 2

@@ -16,6 +16,9 @@ by the interpreter and are exempt.
 The benchmark's tracer (``perfbench/layers.py``) wraps library functions and
 methods by name, so those names must stay defined as well.
 
+No function of the library assigns a plain name that it never reads;
+tuple-unpacking targets and ``_``-prefixed names are exempt.
+
 Only ``poly.py`` touches the term store of a ``MultiPoly``: no other module
 reads an attribute named ``terms`` or passes ``_clean=``.
 
@@ -85,6 +88,28 @@ def test_no_unused_relative_imports(path):
 def test_no_unused_module_level_imports(path):
     _assert_all_read(path, lambda tree: [
         n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))])
+
+
+def _unread_assignments(tree):
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        # reads in nested functions and lambdas count for the enclosing one
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(fn):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for t in targets:
+                if isinstance(t, ast.Name) and not t.id.startswith("_") and t.id not in read:
+                    yield f"{t.id} (line {node.lineno})"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unread_local_assignments(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = sorted(set(_unread_assignments(tree)))
+    assert not unread, f"{path.name} assigns but never reads: {', '.join(unread)}"
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "poly.py"],

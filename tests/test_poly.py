@@ -597,6 +597,13 @@ def test_substitute_laurent_requires_invertible_image():
     assert got == mk(T3, {(0, 0, -1): Fraction(1, 2)})
 
 
+def test_substitute_names_the_first_laurent_variable_in_table_order():
+    p = mk(T3, {(-1, -1, 0): 1})  # a^-1*b^-1
+    x = MultiPoly.var(T3, QQ, "x")
+    with pytest.raises(NonInvertibleImageForLaurentVariable, match="^'a' occurs"):
+        substitute(p, {"b": x + 1, "a": x + 2})
+
+
 @given(sub_polys, sub_polys, sub_polys)
 @settings(max_examples=15, deadline=None, derandomize=True)
 def test_substitute_matches_sympy(p, img_x, img_y):
