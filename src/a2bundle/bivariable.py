@@ -53,8 +53,8 @@ from .poly import (
     MultiPoly,
     RingDescriptor,
     VarTable,
-    congruent_mod_power,
     substitute,
+    truncate_var,
 )
 from .report import CheckBuilder, CheckResult
 
@@ -171,7 +171,7 @@ def certify(omega: MultiPoly, alpha_word, beta_word) -> BivariableCert:
 
     on_line = dict(zip(GLUE.names, MultiPoly.gens(GLUE, F)))
     on_line["y"] = MultiPoly.zero(GLUE, F)
-    start = PolyMap(GLUE, F, BASE, on_line, MultiPoly.const(GLUE, F, 1))
+    start = PolyMap(GLUE, F, BASE, on_line, MultiPoly.zero(GLUE, F))
     shift = flatten(invert(beta_word) + alpha_word, GLUE, F, BASE,
                     start=start).comps["y"]
     if shift and shift.min_degree_in("x") < 0:
@@ -376,18 +376,16 @@ def _descend(P: MultiPoly, b: CheckBuilder) -> BivariableCert:
     delta = (a ** 5 * cert.tau_a).scale(inv2c)
     b.expect_zero("element-shift", hat.omega - cert.omega - delta)
     b.expect("shift-in-a^2-ring",
-             RING_B.contains(delta) and delta.min_degree_in("a") >= 2,
+             RING_B.contains(delta) and not truncate_var(delta, "a", 2),
              lambda: str(delta))
+    square = delta * delta
     b.expect("shift-square-mod-a^4",
-             congruent_mod_power(delta * delta, MultiPoly.zero(GLUE, F),
-                                 "a", 4, ambient=RING_B))
+             RING_B.contains(square) and not truncate_var(square, "a", 4))
     # certify proved f(omega) == tau_a - tau_b for both certificates, so
     # f_b(omega) = a^3*(tau_a - tau_b) is already in hand
-    a3 = a ** 3
+    pulled = a ** 3 * (hat.tau_a - hat.tau_b - cert.tau_a + cert.tau_b)
     b.expect("pullback-congruence-mod-a^3",
-             congruent_mod_power(a3 * (hat.tau_a - hat.tau_b),
-                                 a3 * (cert.tau_a - cert.tau_b),
-                                 "a", 3, ambient=RING_B))
+             RING_B.contains(pulled) and not truncate_var(pulled, "a", 3))
 
     from .bundles import a1_equiv  # late import; bundles uses this module
 
@@ -491,14 +489,19 @@ def cert_from_json(text: str) -> BivariableCert:
 # ------------------------------------------------------------ verify suites
 
 
-def verify_basic_family(pairs=((1, 1), (1, 2), (2, 3)),
-                        field: FieldSpec = QQ) -> CheckResult:
+#: the frozen samples: (m, n) of ex35, (m, n, c) of ex312, P of ex43
+BASIC_PAIRS = ((1, 1), (1, 2), (2, 3))
+CONSTANT_SHIFTS = ((1, 1, "a"), (2, 1, "1 + a*b"), (1, 3, "b^2"))
+P_SHIFTS = ("z^2", "z^2 + z", "z^3 + 2*z")
+
+
+def verify_basic_family(field: FieldSpec = QQ) -> CheckResult:
     """Monomial-denominator certificates: frozen element, chart seconds and
     glueing function for each exponent pair."""
-    b = CheckBuilder("ex35", pairs=list(pairs), field=field.descriptor())
+    b = CheckBuilder("ex35", pairs=list(BASIC_PAIRS), field=field.descriptor())
     a, bb, x, y = MultiPoly.gens(GLUE, field)
     ax, bx, fx = MultiPoly.gens(PLANE, field)
-    for m, n in pairs:
+    for m, n in BASIC_PAIRS:
         cert = basic_bivariable(m, n, field=field)
         am, bn = a ** m, bb ** n
         b.expect_zero(f"element[{m},{n}]", cert.omega - (am * x + bn * y))
@@ -510,14 +513,12 @@ def verify_basic_family(pairs=((1, 1), (1, 2), (2, 3)),
     return b.done()
 
 
-def verify_constant_shift(samples=((1, 1, "a"), (2, 1, "1 + a*b"),
-                                   (1, 3, "b^2")),
-                          field: FieldSpec = QQ) -> CheckResult:
+def verify_constant_shift(field: FieldSpec = QQ) -> CheckResult:
     """Base-constant shifts: glueing function ``(x - c)/(a^m*b^n)``."""
-    b = CheckBuilder("ex312", samples=[f"({m},{n},{c})" for m, n, c in samples],
+    b = CheckBuilder("ex312", samples=[f"({m},{n},{c})" for m, n, c in CONSTANT_SHIFTS],
                      field=field.descriptor())
     ax, bx, fx = MultiPoly.gens(PLANE, field)
-    for m, n, c_text in samples:
+    for m, n, c_text in CONSTANT_SHIFTS:
         c = parse(c_text, PLANE, field)
         cert = with_constant(m, n, c)
         b.expect_zero(f"glueing[{m},{n},{c_text}]",
@@ -525,14 +526,13 @@ def verify_constant_shift(samples=((1, 1, "a"), (2, 1, "1 + a*b"),
     return b.done()
 
 
-def verify_p_shift(p_texts=("z^2", "z^2 + z", "z^3 + 2*z"),
-                   field: FieldSpec = QQ) -> CheckResult:
+def verify_p_shift(field: FieldSpec = QQ) -> CheckResult:
     """The ``a*x + b^2*y + b*P(x)`` family: frozen element, frozen b-chart
     second coordinate, and glueing function ``x/(a*b^2) - P(x/a)/(a*b)``."""
-    b = CheckBuilder("ex43", P=list(p_texts), field=field.descriptor())
+    b = CheckBuilder("ex43", P=list(P_SHIFTS), field=field.descriptor())
     a, bb, x, y = MultiPoly.gens(GLUE, field)
     ax, bx, fx = MultiPoly.gens(PLANE, field)
-    for p_text in p_texts:
+    for p_text in P_SHIFTS:
         P = parse(p_text, PVAR, field)
         cert = p_shift_bivariable(P)
         p_x = substitute(P, {"z": x}, into=GLUE)

@@ -79,10 +79,6 @@ class NonInvertibleImageForLaurentVariable(AlgebraError):
     an image that is not a single invertible term."""
 
 
-class NotInAmbientRing(AlgebraError):
-    """A congruence operand lies outside the declared ambient ring."""
-
-
 class UnexpectedVariable(AlgebraError):
     """A polynomial involves a variable the operation does not allow."""
 

@@ -2,14 +2,15 @@
 
 A *map word* is a tuple of generators applied left to right: the first
 generator acts first.  Flattening a word folds it into a :class:`PolyMap`
-(one image polynomial per moved variable) and accumulates the Jacobian
+(one image polynomial per moved variable) and carries the exact Jacobian
 determinant along the way via the chain rule, so the unit-Jacobian checks
 never need the flattened components differentiated from scratch (though
 :meth:`PolyMap.jacobian_det` can still do exactly that as a cross-check).
 Each generator's ``apply(state)`` moves the running images and returns its
 own Jacobian factor, pushed through the images it found, as an exact pair
 ``(num, den)``: ``1, 1`` for triangular moves and blocks, the sign for a
-permutation, and the unit's image for a scale.
+permutation, and the unit's image for a scale.  By the chain rule the
+division by ``den`` is always exact (see :func:`flatten`).
 :func:`flatten` is the only way maps are composed: passing a map already in
 hand as ``start`` continues its fold, so a word's prefix is never replayed.
 
@@ -39,7 +40,6 @@ from .errors import (
     CongruenceFailed,
     InvalidGenerator,
     MembershipError,
-    NotDivisible,
     Record,
 )
 from .poly import MultiPoly, RingDescriptor, VarTable, divide_exact, substitute
@@ -231,8 +231,8 @@ class PolyMap:
     """A polynomial point map: one image per variable, base variables fixed.
 
     ``comps`` maps every variable name to its image polynomial (base
-    variables map to themselves).  ``jac`` is the Jacobian determinant over
-    the moved variables, as accumulated by :func:`flatten`.
+    variables map to themselves).  ``jac`` is always the exact Jacobian
+    determinant over the moved variables; :func:`flatten` carries it.
     """
 
     __slots__ = ("table", "field", "base", "comps", "jac")
@@ -290,26 +290,22 @@ def _det(rows, table, field):
 
 def flatten(word, table: VarTable, field, base=(), start=None) -> PolyMap:
     """Fold a word of generators (first acts first) into a single PolyMap,
-    accumulating the Jacobian determinant by the chain rule.
+    carrying the exact Jacobian determinant by the chain rule.
 
     ``start`` is a map already in hand: its images and its ``jac`` seed the
     fold, so ``flatten(w2, ..., start=flatten(w1, ...))`` equals
     ``flatten(w1 + w2, ...)`` without replaying ``w1``.
 
-    The running determinant is carried as an exact numerator/denominator
-    pair (scaling by an inverted variable whose image is a sum contributes
-    to the denominator) and reduced whenever the division is exact.  If the
-    final denominator does not divide out -- which cannot happen for a word
-    that defines a Laurent-ring automorphism -- ``jac`` is computed from the
-    partial-derivative matrix instead (:meth:`PolyMap.jacobian_det`).
+    Each generator's factor ``num/den`` multiplies ``jac`` by ``num`` and
+    then divides by ``den``.  The division is always exact: by the chain
+    rule the result is the determinant of the new images, which are Laurent
+    polynomials, so it lies in the same integral domain.
     """
-    one = MultiPoly.const(table, field, 1)
     if start is None:
         state = {n: MultiPoly.var(table, field, n) for n in table.names}
-        jac_num = one
+        jac = MultiPoly.const(table, field, 1)
     else:
-        state, jac_num = dict(start.comps), start.jac
-    jac_den = one
+        state, jac = dict(start.comps), start.jac
     base = tuple(base)
     for gen in word:
         moved = _moved_names(gen)
@@ -317,21 +313,12 @@ def flatten(word, table: VarTable, field, base=(), start=None) -> PolyMap:
         if hit:
             raise InvalidGenerator(
                 f"generator {gen} moves base variable(s) {hit}")
-        n_g, d_g = gen.apply(state)
-        if n_g != 1:
-            jac_num = jac_num * n_g
-        if d_g != 1:
-            jac_den = jac_den * d_g
-        if jac_den != one:
-            try:
-                jac_num, jac_den = divide_exact(jac_num, jac_den), one
-            except NotDivisible:
-                pass
-    pm = PolyMap(table, field, base, state, jac_num)
-    # a denominator left here already failed its division in the loop
-    if jac_den != one:
-        pm.jac = pm.jacobian_det()
-    return pm
+        num, den = gen.apply(state)
+        if num != 1:
+            jac = jac * num
+        if den != 1:
+            jac = divide_exact(jac, den)
+    return PolyMap(table, field, base, state, jac)
 
 
 def _moved_names(gen):

@@ -53,7 +53,6 @@ from .errors import (
     NegativePowerOfNonMonomial,
     NonInvertibleImageForLaurentVariable,
     NotDivisible,
-    NotInAmbientRing,
     Record,
     UnexpectedVariable,
     VarTableMismatch,
@@ -791,29 +790,6 @@ def divide_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
                 else:
                     rem[e] = nc
     return MultiPoly(num.table, f, quot, _clean=False).shift_exponents(shift)
-
-
-def congruent_mod_power(f: MultiPoly, g: MultiPoly, name: str, k: int,
-                        ambient: "RingDescriptor | None" = None) -> bool:
-    """True iff f - g lies in the ideal (name**k), i.e. every term of the
-    difference carries exponent >= k on that variable.
-
-    The difference must have nonnegative exponents in ``name`` (congruences
-    are only meaningful where the variable is not inverted); if ``ambient``
-    is given the difference must lie in that ring. Violations raise
-    :class:`NotInAmbientRing`.
-    """
-    diff = f - g
-    i = f.table.index(name)
-    if any(e[i] < 0 for e in diff._stored()):
-        raise NotInAmbientRing(
-            f"difference has a negative power of {name!r}; congruence mod "
-            f"{name}^{k} is not defined")
-    if ambient is not None and not ambient.contains(diff):
-        bad = ambient.violations(diff)[0]
-        raise NotInAmbientRing(
-            f"difference leaves the ambient ring at exponents {bad[0]}")
-    return all(e[i] >= k for e in diff._stored())
 
 
 def truncate_var(f: MultiPoly, name: str, k: int) -> MultiPoly:

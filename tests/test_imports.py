@@ -22,6 +22,9 @@ tuple-unpacking targets and ``_``-prefixed names are exempt.
 Only ``poly.py`` touches the term store of a ``MultiPoly``: no other module
 reads an attribute named ``terms`` or passes ``_clean=``.
 
+No ``except`` handler of the library has a body of only ``pass``: an error
+is either handled or left to propagate, never swallowed.
+
 A fresh ``import a2bundle.cli`` loads neither ``dataclasses`` nor ``inspect``.
 """
 
@@ -121,6 +124,15 @@ def test_term_store_stays_inside_poly(path):
     hits += [f"line {node.value.lineno}: _clean=" for node in ast.walk(tree)
              if isinstance(node, ast.keyword) and node.arg == "_clean"]
     assert not hits, f"{path.name} reaches into MultiPoly terms: {', '.join(hits)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_except_handler_only_passes(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hits = [f"line {node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler)
+            and all(isinstance(stmt, ast.Pass) for stmt in node.body)]
+    assert not hits, f"{path.name} swallows exceptions: {', '.join(hits)}"
 
 
 def _references(tree):

@@ -12,6 +12,7 @@ from a2bundle.fields import QQ
 from a2bundle.maps import (
     Lemma41Block,
     Permute,
+    PolyMap,
     Scale,
     Triangular,
     check_membership,
@@ -267,6 +268,22 @@ def test_triangular_and_block_words_multiply_no_jacobian_factor():
     assert cont.jac is head.jac
     assert cont == flatten(scale + word, TAB, QQ, BASE)
     assert cont.jacobian_det() == p("2*a")
+
+
+def test_scale_by_inverted_sum_divides_jacobian_exactly(monkeypatch):
+    # the last scale inverts y, whose image a + y is not a monomial, so its
+    # Jacobian factor has a denominator that flatten divides out exactly
+    y = var("y")
+    word = (Triangular("y", var("a")), Scale("x", y), Scale("x", y ** -1))
+
+    def no_matrix(self):
+        raise AssertionError("flatten recomputed the Jacobian matrix")
+
+    with monkeypatch.context() as m:
+        m.setattr(PolyMap, "jacobian_det", no_matrix)
+        flat = flatten(word, TAB, QQ, BASE)
+    assert flat.comps["x"] == var("x")
+    assert flat.jac == one() == flat.jacobian_det()
 
 
 def test_flatten_rejects_moving_base_vars():

@@ -16,7 +16,6 @@ from a2bundle.errors import (
     NegativePowerOfNonMonomial,
     NonInvertibleImageForLaurentVariable,
     NotDivisible,
-    NotInAmbientRing,
     UnexpectedVariable,
     VarTableMismatch,
 )
@@ -26,7 +25,6 @@ from a2bundle.poly import (
     MultiPoly,
     RingDescriptor,
     VarTable,
-    congruent_mod_power,
     divide_exact,
     split_negative_parts,
     substitute,
@@ -723,30 +721,7 @@ def test_substitute_multiplies_once_per_degree(monkeypatch):
     assert counts["_mul_dict"] <= 8
 
 
-# -------------------------------------------------- congruences and filters
-
-
-def test_congruent_mod_power():
-    p = mk(T2, {(3, 0): 1, (1, 1): 2})
-    q = mk(T2, {(1, 1): 2, (4, 2): -9})
-    assert congruent_mod_power(p, q, "x", 3)
-    assert not congruent_mod_power(p, q, "x", 4)
-    assert congruent_mod_power(p, p, "x", 100)
-
-
-def test_congruent_mod_power_ambient():
-    # the difference must stay inside the declared ambient ring
-    p = mk(T3, {(2, 0, 1): 1})
-    q = mk(T3, {(2, -1, 0): 5})
-    ok = RingDescriptor.polynomials(T3).allow_negative("b")
-    assert congruent_mod_power(p, q, "a", 2, ambient=ok)
-    strict = RingDescriptor.polynomials(T3)
-    with pytest.raises(NotInAmbientRing):
-        congruent_mod_power(p, q, "a", 2, ambient=strict)
-    # negative powers of the congruence variable itself are always rejected
-    r = mk(T3, {(-1, 0, 0): 1})
-    with pytest.raises(NotInAmbientRing):
-        congruent_mod_power(r, MultiPoly.zero(T3, QQ), "a", 1)
+# ------------------------------------------------------------------ filters
 
 
 def test_truncate_var():
