@@ -394,9 +394,8 @@ def _descend(P: MultiPoly, b: CheckBuilder) -> BivariableCert:
     b.expect("matches-two-step-closed-form", eq is not None)
     if eq is not None:
         lam, r_a, r_b = eq
-        b.witness(scale=str(lam), a_chart_shift=str(r_a),
-                  b_chart_shift=str(r_b))
-    b.witness(element=str(hat.omega))
+        b.witness(scale=lam, a_chart_shift=r_a, b_chart_shift=r_b)
+    b.witness(element=hat.omega)
     return hat
 
 
@@ -435,14 +434,22 @@ def _gen_to_doc(gen) -> dict:
     return doc
 
 
+def _slot(doc, key: str, kind: type = str):
+    """``doc[key]``; a :class:`ShapeError` names the key unless ``doc`` is an
+    object holding a ``kind`` there."""
+    if not (isinstance(doc, dict) and key in doc and isinstance(doc[key], kind)):
+        raise ShapeError(f"expected a certificate object holding {kind.__name__} at {key!r}")
+    return doc[key]
+
+
 def _gen_from_doc(doc: dict, field: FieldSpec):
-    kind = doc["kind"]
+    kind = _slot(doc, "kind", object)
     cls = _GEN_KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ShapeError(f"unknown generator kind {kind!r}")
     args = []
     for name in cls.__slots__:
-        v = doc[name]
+        v = _slot(doc, name, object if name in ("m", "mapping") else str)
         if name == "m":
             v = int(v)
         elif name != "mapping" and not name.startswith("var"):
@@ -464,17 +471,18 @@ def cert_to_doc(cert: BivariableCert) -> dict:
 
 def cert_from_doc(doc: dict) -> BivariableCert:
     """Rebuild and *re-certify* a certificate; the stored glueing function
-    is cross-checked against the recomputed one."""
-    F = field_from_descriptor(doc["field"])
-    omega = parse(doc["omega"], GLUE, F)
-    alpha = tuple(_gen_from_doc(d, F) for d in doc["alpha_word"])
-    beta = tuple(_gen_from_doc(d, F) for d in doc["beta_word"])
+    is cross-checked against the recomputed one. A document of another shape
+    raises :class:`ShapeError` naming the slot, before anything is parsed."""
+    field, omega, alpha, beta, f = (_slot(doc, k, list if k.endswith("word") else str)
+                                    for k in ("field", "omega", "alpha_word", "beta_word", "f"))
+    F = field_from_descriptor(field)
+    omega = parse(omega, GLUE, F)
+    alpha = tuple(_gen_from_doc(d, F) for d in alpha)
+    beta = tuple(_gen_from_doc(d, F) for d in beta)
     cert = certify(omega, alpha, beta)
-    stored = parse(doc["f"], PLANE, F)
-    if stored != cert.f.f:
+    if parse(f, PLANE, F) != cert.f.f:
         raise ShapeError(
-            f"stored glueing function {doc['f']} disagrees with the "
-            f"recomputed {cert.f.f}")
+            f"stored glueing function {f} disagrees with the recomputed {cert.f.f}")
     return cert
 
 
@@ -571,5 +579,5 @@ def verify_mixed_denominator(field: FieldSpec = QQ) -> CheckResult:
     ax, bx, fx = MultiPoly.gens(PLANE, field)
     b.expect_zero("glueing",
                   cert.f.f - (ax + bx) * fx * ax ** -2 * bx ** -2)
-    b.witness(element=str(cert.omega), glueing=str(cert.f.f))
+    b.witness(element=cert.omega, glueing=cert.f.f)
     return b.done()

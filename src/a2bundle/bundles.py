@@ -191,8 +191,7 @@ def prop45_check(f_b: MultiPoly, g_b: MultiPoly, m: int, Q: MultiPoly,
              detail=lambda: f"x -> {blk.comps['x']}; y -> {blk.comps['y']}")
     one = MultiPoly.const(GLUE, F, 1)
     b.expect_zero("block-jacobian-minus-1", blk.jac - one)
-    b.witness(pull_out=str(pull_out), block=str(block),
-              moved_variable=str(moved))
+    b.witness(pull_out=pull_out, block=block, moved_variable=moved)
     return b.done()
 
 
@@ -455,7 +454,7 @@ def prop63_membership(tf: TransitionFunction, m: int, n: int) -> CheckResult:
     b.expect("b-generator-in-b-chart", RING_B.contains(gen_b), lambda: str(gen_b))
     b.expect_zero("b-generator-crosses-to-a^m*y",
                   substitute(gen_b, {"y": y4 + fg}) - phi["v"])
-    b.witness(a_generator=str(gen_a), b_generator=str(gen_b))
+    b.witness(a_generator=gen_a, b_generator=gen_b)
     return b.done()
 
 
@@ -529,7 +528,7 @@ def verify_geometric_ladder(p_text: str, rungs, field: FieldSpec = QQ) -> list:
             ladder = ladder + (ax ** n * fx * bx ** -1) ** k
         b.expect_zero("ladder-closed-form",
                       fm - f1 + ax ** -1 * bx ** -1 * ladder * p_over_a)
-        b.witness(element=str(cert.omega))
+        b.witness(element=cert.omega)
         results.append(b.done())
     return results
 

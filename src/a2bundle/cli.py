@@ -171,7 +171,7 @@ def _cmd_a1equiv(args, field) -> int:
              detail="doubly-negative parts are not proportional")
     if eq is not None:
         lam, r_a, r_b = eq
-        b.witness(scale=str(lam), a_chart_shift=to_expr(r_a),
+        b.witness(scale=lam, a_chart_shift=to_expr(r_a),
                   b_chart_shift=to_expr(r_b))
         text = (f"equivalent: scale = {lam}, a-chart shift = {to_expr(r_a)}, "
                 f"b-chart shift = {to_expr(r_b)}")
@@ -222,7 +222,7 @@ def _cmd_classify(args, field) -> int:
     verdict = classify(TransitionFunction.from_poly(parse(args.f, PLANE,
                                                           field)))
     b = CheckBuilder("classify", f=args.f)
-    b.witness(verdict=str(verdict), status=verdict.status)
+    b.witness(verdict=verdict, status=verdict.status)
     if verdict.status == "nontrivial":
         b.witness(reason=verdict.reason)
     elif verdict.status == "trivial":

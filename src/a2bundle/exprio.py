@@ -1,6 +1,6 @@
 """Parse and print polynomial expressions in a stable canonical form.
 
-Input grammar (recursive descent, one token of lookahead):
+Input grammar, in ASCII characters only:
 
     expr   := ['-'] term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
@@ -11,6 +11,18 @@ Input grammar (recursive descent, one token of lookahead):
 is legal); ``t`` names the generator when the field is an extension of Q.
 Writing a negative power of a variable requires that variable's laurent
 flag in the table — directly via ``^`` or indirectly via ``/``.
+
+Parsing is one pass over the tokens of one regular expression. A term of
+numbers, ``t``, variables, integer powers and single-term groups is one
+raw coefficient and one exponent list, added straight into the term dict
+of its expression; no polynomial is built for it. A factor of several
+terms (a parenthesised sum, or a power of one) makes the term's product so
+far a polynomial and multiplies or exactly divides it, in the order
+written; later flat factors join it at the next such factor or at the end
+of the term. Parentheses nest on an explicit stack at most
+:data:`MAX_DEPTH` deep, and a sum is raised to at most the
+:data:`MAX_POWER`-th power; beyond either bound :class:`ExprSyntaxError`
+names the offending token.
 
 Printing: terms in canonical order (exponent sum, then exponent tuple,
 descending); within a term the positively-powered variables come first in
@@ -25,158 +37,128 @@ import re
 from .errors import (
     ExprSyntaxError,
     NegativeExponentNotAllowed,
+    NegativePowerOfNonMonomial,
     UnknownVariable,
 )
 from .fields import FieldSpec, PrimeField, QuotientExtension, QQ
-from .poly import MultiPoly, VarTable, divide_exact
+from .poly import MultiPoly, VarTable, _accumulate, _coeff_power, divide_exact
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks: list[tuple[str, str, int]] = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < n and text[j].isdigit():
-                    j += 1
-                self.toks.append(("num", text[i:j], i))
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.toks.append(("name", text[i:j], i))
-                i = j
-            elif ch in "+-*/^()":
-                self.toks.append(("op", ch, i))
-                i += 1
-            else:
-                raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-        self.pos = 0
+#: the deepest nesting of parentheses that :func:`parse` accepts
+MAX_DEPTH = 100
+#: the largest power that :func:`parse` raises a sum of several terms to
+MAX_POWER = 32
 
-    def peek(self):
-        if self.pos < len(self.toks):
-            return self.toks[self.pos]
-        return ("end", "", len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, pos = self.next()
-        if kind != "op" or val != op:
-            raise ExprSyntaxError(f"expected {op!r}, found {val or 'end of input'!r}", pos)
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^()]")
+_FOREIGN = re.compile(r"[^-+*/^()0-9A-Za-z_ \t\n\r\f\v]")
 
 
-class _Parser:
-    def __init__(self, text: str, table: VarTable, field: FieldSpec):
-        self.toks = _Tokens(text)
-        self.table = table
-        self.field = field
-        self.has_generator = isinstance(field, QuotientExtension)
-        if self.has_generator and "t" in table:
-            raise ExprSyntaxError(
-                "table has a variable named 't', which collides with the "
-                "extension generator", 0)
-
-    def parse(self) -> MultiPoly:
-        out = self.expr()
-        kind, val, pos = self.toks.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"trailing input starting at {val!r}", pos)
-        return out
-
-    def expr(self) -> MultiPoly:
-        kind, val, pos = self.toks.peek()
-        negate = False
-        if kind == "op" and val in "+-":
-            self.toks.next()
-            negate = val == "-"
-        acc = self.term()
-        if negate:
-            acc = -acc
-        while True:
-            kind, val, pos = self.toks.peek()
-            if kind == "op" and val in "+-":
-                self.toks.next()
-                rhs = self.term()
-                acc = acc - rhs if val == "-" else acc + rhs
-            else:
-                return acc
-
-    def term(self) -> MultiPoly:
-        acc = self.factor()
-        while True:
-            kind, val, pos = self.toks.peek()
-            if kind == "op" and val in "*/":
-                self.toks.next()
-                rhs = self.factor()
-                if val == "*":
-                    acc = acc * rhs
-                else:
-                    if rhs.is_zero():
-                        raise ExprSyntaxError("division by zero", pos)
-                    acc = divide_exact(acc, rhs)
-            else:
-                return acc
-
-    def factor(self) -> MultiPoly:
-        base, base_pos, base_name = self.atom()
-        kind, val, pos = self.toks.peek()
-        if kind == "op" and val == "^":
-            self.toks.next()
-            kind, val, pos = self.toks.peek()
-            sign = 1
-            if kind == "op" and val == "-":
-                self.toks.next()
-                sign = -1
-            kind, val, pos = self.toks.next()
-            if kind != "num":
-                raise ExprSyntaxError("expected integer exponent after '^'", pos)
-            k = sign * int(val)
-            if k < 0 and base_name is not None and not self.table.is_laurent(base_name):
-                raise NegativeExponentNotAllowed(
-                    f"variable {base_name!r} may not carry a negative exponent",
-                    base_pos)
-            return base ** k
-        return base
-
-    def atom(self):
-        """Returns (poly, position, variable_name_or_None)."""
-        kind, val, pos = self.toks.next()
-        if kind == "num":
-            return MultiPoly.const(self.table, self.field, int(val)), pos, None
-        if kind == "name":
-            if val == "t" and self.has_generator:
-                return MultiPoly.const(self.table, self.field,
-                                       self.field.generator), pos, None
-            if val not in self.table:
-                raise UnknownVariable(f"unknown variable {val!r}", pos)
-            return MultiPoly.var(self.table, self.field, val), pos, val
-        if kind == "op" and val == "(":
-            inner = self.expr()
-            self.toks.expect_op(")")
-            return inner, pos, None
-        raise ExprSyntaxError(f"expected a value, found {val or 'end of input'!r}", pos)
+def _fail(text, i, message, cls=ExprSyntaxError):
+    """Raise ``cls`` at the ``i``-th token of ``text``, or at its end."""
+    raise cls(message, ([m.start() for m in _TOKEN.finditer(text)] + [len(text)])[i])
 
 
 def parse(text: str, table: VarTable, field: FieldSpec = QQ) -> MultiPoly:
     """Parse ``text`` into a polynomial over ``table`` and ``field``."""
-    out = _Parser(text, table, field).parse()
-    for name in table.names:
-        if not table.is_laurent(name) and (out.min_degree_in(name) or 0) < 0:
-            raise NegativeExponentNotAllowed(
-                f"expression has a negative power of {name!r}, which is "
-                f"not flagged laurent", 0)
-    return out
+    bad = _FOREIGN.search(text)
+    if bad:
+        raise ExprSyntaxError(f"unexpected character {bad.group()!r}", bad.start())
+    gen = field.generator if isinstance(field, QuotientExtension) else None
+    if gen is not None and "t" in table:
+        raise ExprSyntaxError("table has a variable named 't', which collides with the "
+                              "extension generator", 0)
+    toks = _TOKEN.findall(text) + [""]  # "" is the end of input
+    index = {name: j for j, name in enumerate(table.names)}
+    w, one, is_zero = len(table), field.one, field.is_zero
+    # the open expression: its term dict, the sign of its current term, and
+    # that term: the polynomial ``tp`` (None until a sum joins it) times the
+    # coefficient ``c`` (None for 1) times x^e; ``op`` applies the next
+    # factor, a ``/`` at token ``slash``
+    stack, out, neg, c, e, tp, op, slash = [], {}, False, None, [0] * w, None, "*", 0
+    i, start = 0, True
+    while True:
+        tok = toks[i]
+        if start and tok in ("+", "-"):
+            neg, i = tok == "-", i + 1
+            tok = toks[i]
+        at, name, many, start = i, None, None, False
+        if tok == "(":
+            if len(stack) == MAX_DEPTH:
+                _fail(text, i, f"parentheses nest deeper than {MAX_DEPTH}")
+            stack.append((out, neg, c, e, tp, op, slash))
+            out, neg, c, e, tp, op, i, start = {}, False, None, [0] * w, None, "*", i + 1, True
+            continue
+        if tok in index:
+            v, d, name = None, ((index[tok], 1),), tok
+        elif tok.isdigit():
+            v, d = field.coerce(int(tok)), ()
+        elif tok == "t" and gen is not None:
+            v, d = gen, ()
+        elif tok.isidentifier():
+            _fail(text, i, f"unknown variable {tok!r}", UnknownVariable)
+        else:
+            _fail(text, i, f"expected a value, found {tok or 'end of input'!r}")
+        i += 1
+        while True:  # the atom ``v * x^d`` (or ``many``) is read: power, apply
+            k = 1
+            if toks[i] == "^":
+                i += 2 if toks[i + 1] == "-" else 1
+                if not toks[i].isdigit():
+                    _fail(text, i, "expected integer exponent after '^'")
+                k, i = (-1 if toks[i - 1] == "-" else 1) * int(toks[i]), i + 1
+            if k < 0 and name is not None and name not in table.laurent:
+                _fail(text, at, f"variable {name!r} may not carry a negative exponent",
+                      NegativeExponentNotAllowed)
+            s = -k if op == "/" else k  # the power the term is multiplied by
+            zero = v is not None and is_zero(v)
+            if k < 0 and (many is not None or zero):
+                raise NegativePowerOfNonMonomial(
+                    f"cannot raise a {len(many or ())}-term polynomial to power {k}")
+            if k and many is not None:
+                if k > MAX_POWER:
+                    _fail(text, i - 1, f"a sum may be raised to at most the power {MAX_POWER}")
+                m = MultiPoly(table, field, {tuple(e): one if c is None else c})
+                tp, c, e = m if tp is None else tp * m, None, [0] * w
+                tp = divide_exact(tp, many ** k) if s < 0 else tp * many ** k
+            elif k:
+                if zero and s < 0:
+                    _fail(text, slash, "division by zero")
+                if s != 1 and v is not None and not zero:
+                    v = _coeff_power(field, v, s)
+                c = v if c is None else c if v is None else field.mul(c, v)
+                for j, x in d:
+                    e[j] += x * s
+            tok = toks[i]
+            if tok in ("*", "/"):
+                op, slash, i = tok, i, i + 1
+                break
+            m = ((tuple(e), one if c is None else c),)
+            if tp is not None:  # the factors since the last sum join it
+                m = (tp * MultiPoly(table, field, dict(m))).sorted_terms()
+            elif c is not None and is_zero(c):
+                m = ()
+            _accumulate(out, m, field, neg)  # which keeps no zero in ``out``
+            c, e, tp, op = None, [0] * w, None, "*"
+            if tok in ("+", "-"):
+                neg, i = tok == "-", i + 1
+                break
+            if not stack:
+                if tok:
+                    _fail(text, i, f"trailing input starting at {tok!r}")
+                for name, low in zip(table.names, map(min, zip(*out))):
+                    if low < 0 and name not in table.laurent:
+                        raise NegativeExponentNotAllowed(
+                            f"expression has a negative power of {name!r}, which is "
+                            f"not flagged laurent", 0)
+                return MultiPoly(table, field, out)
+            if tok != ")":
+                _fail(text, i, f"expected ')', found {tok or 'end of input'!r}")
+            group, (out, neg, c, e, tp, op, slash) = out, stack.pop()
+            i, name, many = i + 1, None, None
+            (g, v), *more = group.items() or [((), field.zero)]
+            d = tuple([(j, x) for j, x in enumerate(g) if x])
+            if more:  # a sum; a single term, or none, folds into the open term
+                v, d, many = None, (), MultiPoly(table, field, group)
 
 
 def to_expr(poly: MultiPoly) -> str:

@@ -18,15 +18,26 @@ from .errors import Record
 SCHEMA_VERSION = "1"
 
 
+def _printed(values: dict, keep) -> dict:
+    """``values``, each one that is not a ``keep`` replaced in place by its string."""
+    values.update({k: str(v) for k, v in values.items() if not isinstance(v, keep)})
+    return values
+
+
 class CheckResult(Record):
     """One check's outcome; ``status`` is "pass", "fail" or "error", and
-    ``millis`` its wall time rounded to the nearest millisecond."""
+    ``millis`` its wall time rounded to the nearest millisecond. ``inputs``
+    and ``witness`` hold the values the check was given and print each on
+    first read, so a caller that reads only ``ok`` formats nothing."""
 
-    __slots__ = ("check_id", "inputs", "status", "residuals", "witness", "millis")
+    __slots__ = ("check_id", "_inputs", "status", "residuals", "_witness", "millis")
+    ok = property(lambda self: self.status == "pass")
+    inputs = property(lambda self: _printed(self._inputs, str))
+    witness = property(lambda self: _printed(self._witness, (int, str)))
 
-    @property
-    def ok(self) -> bool:
-        return self.status == "pass"
+    def _key(self):  # the slots in order, printed
+        return (self.check_id, self.inputs, self.status, self.residuals, self.witness,
+                self.millis)
 
 
 class CheckBuilder:
@@ -41,7 +52,7 @@ class CheckBuilder:
 
     def __init__(self, check_id: str, **inputs):
         self.check_id = check_id
-        self.inputs = {k: str(v) for k, v in inputs.items()}
+        self.inputs = inputs
         self.residuals = {}
         self.witness_data = {}
         self.failed = False
@@ -63,8 +74,7 @@ class CheckBuilder:
         return cond
 
     def witness(self, **kv) -> None:
-        for k, v in kv.items():
-            self.witness_data[k] = v if isinstance(v, (int, str)) else str(v)
+        self.witness_data.update(kv)
 
     def done(self, status: str | None = None) -> CheckResult:
         """The result; a given ``status`` ("error") overrides the verdict."""
@@ -85,7 +95,8 @@ class VerificationReport(Record):
             {
                 "version": SCHEMA_VERSION,
                 "field": self.field,
-                "checks": [dict(zip(c.__slots__, c._key())) for c in self.checks],
+                "checks": [{n.lstrip("_"): v for n, v in zip(c.__slots__, c._key())}
+                           for c in self.checks],
             },
             indent=2,
         )

@@ -433,6 +433,17 @@ def test_cert_doc_generator_fields_and_unknown_kinds():
         bivariable._gen_to_doc(object())
 
 
+def test_cert_doc_generator_shape_names_the_slot():
+    doc = cert_to_doc(basic_bivariable(1, 1))
+    gen = next(g for g in doc["alpha_word"] if g["kind"] == "triangular")
+    gen["shift"] = 3
+    with pytest.raises(ShapeError, match="holding str at 'shift'"):
+        cert_from_doc(doc)
+    doc["alpha_word"] = ["triangular"]
+    with pytest.raises(ShapeError, match="holding object at 'kind'"):
+        cert_from_doc(doc)
+
+
 def test_cert_doc_is_json_serialisable():
     doc = cert_to_doc(ex66_bivariable())
     json.dumps(doc)  # must not raise

@@ -278,6 +278,20 @@ def test_search_rediscovers_payload():
     assert found == q
 
 
+def test_search_confirmation_formats_nothing(monkeypatch):
+    f_b, g_b, m, q = congruence_data("ex46")
+    res = prop45_check(f_b, g_b, m, q)
+    printed = {"f_b": str(f_b), "g_b": str(g_b), "m": str(m), "Q": str(q)}
+    calls = []
+    real = MultiPoly.__str__
+    monkeypatch.setattr(MultiPoly, "__str__", lambda p: calls.append(1) or real(p))
+    assert prop45_search(f_b, g_b, m, 1, (0, Fraction(1, 2), 1)) == q
+    assert calls == []
+    assert {k: res.inputs[k] for k in printed} == printed
+    assert res.witness == {"pull_out": "x += -1/2*a^4*y", "block": "block[a^3](x,y; Q=1/2*x)",
+                           "moved_variable": "1/2*a^3*x*b^-2 - 1/2*a*x^2*b^-1 + x"}
+
+
 def test_search_exhausts_small_pool():
     f_b, g_b, m, _ = congruence_data("ex46")
     assert prop45_search(f_b, g_b, m, 1, (0, 1)) is None

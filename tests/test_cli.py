@@ -403,6 +403,27 @@ def test_bivar_extend_text_summary(tmp_path, capsys):
     assert "element:" in out and "glueing function:" in out
 
 
+@pytest.mark.parametrize("doc, key", [
+    ([1, 2], "field"),
+    ({"omega": "x"}, "field"),
+    ({"field": "q", "omega": 7, "alpha_word": [], "beta_word": [], "f": "x"}, "omega"),
+])
+def test_bivar_extend_rejects_malformed_certificate(tmp_path, capsys, doc, key):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "bivar", "extend", "--cert", str(src),
+                       "--side", "a", "--m", "1", "--n", "1", "--Q", "x")
+    assert code == 2
+    assert err.startswith("error: expected a certificate object") and repr(key) in err
+
+
+@pytest.mark.parametrize("text, ch", [("z^²", "²"), ("٣*z^2", "٣")])
+def test_non_ascii_expression_is_usage_error(capsys, text, ch):
+    code, _, err = run(capsys, "transition", "--P", text, "--n", "1")
+    assert code == 2
+    assert f"unexpected character {ch!r}" in err and "position" in err
+
+
 def test_bivar_extend_missing_file(capsys):
     code, _, err = run(capsys, "bivar", "extend", "--cert", "/nonexistent",
                        "--side", "a", "--m", "1", "--n", "1", "--Q", "x")
