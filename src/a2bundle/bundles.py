@@ -206,11 +206,11 @@ def prop45_search(f_b: MultiPoly, g_b: MultiPoly, m: int, deg_bound: int,
     affine test: modulo ``a^2`` the residual of ``Q`` is
     ``r0 + sum c_i*(r(x^i) - r0)``, with ``r0`` the residual at ``Q = 0``,
     so ``deg_bound + 2`` compositions serve every candidate.  Stage
-    ``k >= 3`` keeps the survivors whose congruence holds mod ``a^k``, and
-    survivors of stage ``m`` are confirmed with the full check.  Returns
-    the first confirmed ``Q`` or ``None``, as enumerating every stage
-    would. A negative ``deg_bound``, or more than :data:`MAX_CANDIDATES`
-    candidates or coefficients per candidate, raises
+    ``3 <= k < m`` keeps the survivors whose congruence holds mod ``a^k``;
+    the full check, whose first test is stage ``m``, then takes them in
+    order.  Returns the first ``Q`` it confirms or ``None``, as enumerating
+    every stage would. A negative ``deg_bound``, or more than
+    :data:`MAX_CANDIDATES` candidates or coefficients per candidate, raises
     :class:`PreconditionViolated`.
     """
     _chart_b_univariate(f_b, "f_b")
@@ -235,7 +235,7 @@ def prop45_search(f_b: MultiPoly, g_b: MultiPoly, m: int, deg_bound: int,
         steps = [((x ** i).scale(c), col.scale(c)) for c in coeffs]
         grown = [(q + dq, r + dr) for q, r in grown for dq, dr in steps]
     survivors = [q for q, r in grown if not r]
-    for k in range(3, m + 1):
+    for k in range(3, m):
         survivors = [q for q in survivors
                      if not _residual(f_b, g_b, x + a * substitute(q, {"x": f_b}), k)]
     for q in survivors:

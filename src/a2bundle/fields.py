@@ -9,7 +9,8 @@ store them directly in term dictionaries:
 * Q[t]/(m(t))    -> ``(ints, den)``: the residue's deg(m) coefficients (low
   to high) times ``den``, as ints over a positive int ``den``, with
   ``gcd(den, *ints) == 1`` (a polynomial's terms may share one denominator
-  instead; see :mod:`a2bundle.poly`)
+  instead; see :mod:`a2bundle.poly`), printed as a polynomial in t over Q
+  by :func:`a2bundle.exprio.to_expr`
 
 A :class:`FieldSpec` bundles the operations on raw values; :class:`FieldElem`
 is the small wrapper used at API boundaries.
@@ -105,7 +106,7 @@ class Rationals(FieldSpec):
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of 0 in Q")
-        return 1 / a
+        return Fraction(a.denominator, a.numerator)
 
     def div(self, a, b):
         if b == 0:
@@ -235,32 +236,12 @@ def _rational_roots_exist(coeffs: tuple[Fraction, ...]) -> bool:
             or root_in(hi2, bound, 1))
 
 
-def _t_poly_str(coeffs):
-    """(is_negative, abs-value string in t, needs_parens) for the rational
-    coefficients ``coeffs`` of a polynomial in t, low to high.
-
-    The sign is the sign of the highest nonzero t-coefficient, so that
-    the polynomial printer can pull it into the +/- joiner.
-    """
-    terms = [(k, c) for k, c in enumerate(coeffs) if c != 0]
-    if not terms:
-        return False, "0", False
-    lead_neg = terms[-1][1] < 0
-    sign = -1 if lead_neg else 1
-    pieces = []
-    for k, c in reversed(terms):
-        c = c * sign
-        if k == 0:
-            body = str(abs(c))
-        else:
-            var = "t" if k == 1 else f"t^{k}"
-            body = var if abs(c) == 1 else f"{abs(c)}*{var}"
-        pieces.append((c < 0, body))
-    out = pieces[0][1]
-    for negative, body in pieces[1:]:
-        out += (" - " if negative else " + ") + body
-    needs_parens = len(pieces) > 1
-    return lead_neg, out, needs_parens
+def _in_t(coeffs):
+    """The rational ``coeffs``, low to high, as a polynomial in t over Q,
+    printed by :func:`a2bundle.exprio.to_expr`."""
+    from .exprio import to_expr  # local import; exprio imports this module
+    from .poly import MultiPoly, VarTable
+    return to_expr(MultiPoly(VarTable(("t",)), QQ, {(k,): c for k, c in enumerate(coeffs)}))
 
 
 class QuotientExtension(FieldSpec):
@@ -420,15 +401,17 @@ class QuotientExtension(FieldSpec):
         return self.mul(a, self.inv(b))
 
     def coeff_str(self, a):
-        """(is_negative, abs-value string in t, needs_parens); see
-        :func:`_t_poly_str`."""
+        """(is_negative, abs-value string in t, needs_parens): the residue
+        printed by :func:`_in_t`, the sign of its leading coefficient pulled
+        out for the polynomial printer's +/- joiner."""
         ints, den = a
-        return _t_poly_str([Fraction(x, den) for x in ints])
+        neg = next((x < 0 for x in reversed(ints) if x), False)
+        den = -den if neg else den
+        return neg, _in_t([Fraction(x, den) for x in ints]), sum(map(bool, ints)) > 1
 
     def descriptor(self):
         # minpoly is monic by construction so never prints a leading minus
-        _, body, _ = _t_poly_str(self.minpoly)
-        return "ext:" + body.replace(" ", "")
+        return "ext:" + _in_t(self.minpoly).replace(" ", "")
 
     def __str__(self):
         return f"Q[t]/({self.descriptor()[4:]})"

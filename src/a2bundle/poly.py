@@ -11,15 +11,15 @@ Only this module reads that term dict; other modules go through
 tuple keys because the benchmark reads it.
 
 Coefficients are raw field values (see :mod:`a2bundle.fields`). Over Q and
-Q[t]/(m) a polynomial may instead be held, as in FLINT's ``fmpq_mpoly``:
-the pair ``({exps: c}, den)``, where ``c`` is an int over Q and a tuple of
-deg(m) ints over Q[t]/(m), with ``den > 0``, no zero entry and a ``gcd`` of
-1 over ``den`` and every int, a unique normal form. A held polynomial
-(:class:`_IntPoly`) adds, negates, shifts, multiplies and substitutes in
-ints with one ``gcd`` per result, and builds its raw ``terms`` only when
-they are first read. Over Q[t]/(m) these operations always run held; over
-Q only with a held operand, so a sum of two Fraction-held polynomials stays
-on the field's ``add``.
+Q[t]/(m) a :class:`MultiPoly` has a second view, held as in FLINT's
+``fmpq_mpoly``: the pair ``({exps: c}, den)``, where ``c`` is an int over Q
+and a tuple of deg(m) ints over Q[t]/(m), with ``den > 0``, no zero entry
+and a ``gcd`` of 1 over ``den`` and every int, a unique normal form. Each
+view is built from the other on first use and then kept. Sums, negation,
+shifts, products and substitution run held, in ints with one ``gcd`` per
+result, over Q[t]/(m) and whenever an operand already has its pair. A sum
+of two Q polynomials that have only their terms stays on the field's
+``add``: the benchmark's traced ``certs`` run requires calls to it.
 
 A product of two multi-term polynomials runs one integer convolution,
 :func:`_convolve`, for every field, with no pass through the field's own
@@ -193,10 +193,11 @@ def _mul_vectors(a, b, field):
 
 
 class MultiPoly:
-    """Sparse Laurent polynomial over a fixed VarTable and field; over Q and
-    Q[t]/(m), ``_pair`` keeps the held form once it is computed."""
+    """Sparse Laurent polynomial over a fixed VarTable and field, built from
+    its ``terms`` or, by :meth:`_from_pair`, from its held ``_pair``; the
+    other view is built on first use (:attr:`terms`, :meth:`_held`)."""
 
-    __slots__ = ("table", "field", "terms", "_pair")
+    __slots__ = ("table", "field", "_terms", "_pair")
 
     def __init__(self, table: VarTable, field: FieldSpec, terms: dict | None = None,
                  _clean: bool = True):
@@ -207,9 +208,17 @@ class MultiPoly:
         if _clean:
             is_zero = field.is_zero
             terms = {e: c for e, c in terms.items() if not is_zero(c)}
-        self.terms = terms
+        self._terms = terms
+        self._pair = None
 
     # ---------------------------------------------------------- construction
+
+    @classmethod
+    def _from_pair(cls, table, field, pair):
+        """The held polynomial of the normal-form pair ``(ints, den)``."""
+        self = object.__new__(cls)
+        self.table, self.field, self._terms, self._pair = table, field, None, pair
+        return self
 
     @classmethod
     def zero(cls, table, field):
@@ -264,22 +273,35 @@ class MultiPoly:
                 return NotImplemented
         if self.table.names != other.table.names or self.field != other.field:
             return False
-        if type(self) is _IntPoly or type(other) is _IntPoly:
+        if self._pair is not None or other._pair is not None:
             return self._held() == other._held()
-        return self.terms == other.terms
+        return self._terms == other._terms
 
     __hash__ = None
 
+    @property
+    def terms(self):
+        """The raw ``{exps: coefficient}`` dict, each value in the field's own
+        normal form; a held polynomial builds it from its pair on first read."""
+        terms = self._terms
+        if terms is None:
+            ints, den = self._pair
+            view = Fraction if isinstance(self.field, Rationals) else self.field._from_ints
+            self._terms = terms = {e: view(c, den) for e, c in ints.items()}
+        return terms
+
     def _stored(self):
-        """The dict this polynomial holds, read only for its keys."""
-        return self.terms
+        """A dict with this polynomial's exponents as keys, read only for
+        those: ``terms`` if it is built, else the held ints."""
+        terms = self._terms
+        return self._pair[0] if terms is None else terms
 
     def _held(self):
         """The held pair of a Q or Q[t]/(m) polynomial, lifted once and kept:
         each term over the lcm of the terms' denominators."""
-        pair = getattr(self, "_pair", None)
+        pair = self._pair
         if pair is None:
-            terms = self.terms
+            terms = self._terms
             if isinstance(self.field, Rationals):
                 den = lcm(*[c.denominator for c in terms.values()])
                 ints = {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
@@ -317,22 +339,24 @@ class MultiPoly:
         if other is NotImplemented:
             return NotImplemented
         vec = isinstance(self.field, QuotientExtension)
-        if vec or type(self) is _IntPoly or type(other) is _IntPoly:
+        if vec or self._pair is not None or other._pair is not None:
             (a, da), (b, db) = self._held(), other._held()
             g = gcd(da, db)
             ka, kb = db // g, (-da if subtract else da) // g
             out = dict(a) if ka == 1 else _add_into({}, a.items(), ka, vec)
             return _held_poly(self.table, self.field,
                               _add_into(out, b.items(), kb, vec), da * ka)
-        out = _accumulate(dict(self.terms), other.terms.items(), self.field, subtract)
+        out = _accumulate(dict(self._terms), other._terms.items(), self.field, subtract)
         return MultiPoly(self.table, self.field, out, _clean=False)
 
     __radd__ = __add__
 
     def __neg__(self):
+        if self._pair is not None:
+            return self._scaled(-1, 1, ())
         fneg = self.field.neg
         return MultiPoly(self.table, self.field,
-                         {e: fneg(c) for e, c in self.terms.items()}, _clean=False)
+                         {e: fneg(c) for e, c in self._terms.items()}, _clean=False)
 
     def __sub__(self, other):
         return self.__add__(other, subtract=True)
@@ -359,17 +383,33 @@ class MultiPoly:
         (me, mc), = mono.terms.items()
         if mc == self.field.one:
             return self.shift_exponents(me)
-        if isinstance(self.field, QuotientExtension):
-            return _IntPoly(self.table, self.field, self._held())._mul_monomial(mono)
-        fmul = self.field.mul
-        return MultiPoly(self.table, self.field,
-                         {tuple(map(add, e, me)): fmul(c, mc) for e, c in self.terms.items()},
-                         _clean=False)
+        if self._pair is None and not isinstance(self.field, QuotientExtension):
+            fmul = self.field.mul
+            out = {tuple(map(add, e, me)): fmul(c, mc) for e, c in self._terms.items()}
+            return MultiPoly(self.table, self.field, out, _clean=False)
+        ints, d = mono._held()
+        (_, n), = ints.items()
+        if type(n) is tuple:  # over Q[t]/(m): a scalar only if n is rational
+            if any(n[1:]):
+                return self._mul_dict(mono)
+            n = n[0]
+        return self._scaled(n, d, me)
+
+    def _scaled(self, n, d, delta):
+        """This polynomial times ``n/d * x^delta``, held."""
+        ints, den = self._held()
+        if any(delta):
+            ints = {tuple(map(add, e, delta)): c for e, c in ints.items()}
+        if n != 1:
+            ints = _add_into({}, ints.items(), n, isinstance(self.field, QuotientExtension))
+        if d == 1 and n in (1, -1):
+            return MultiPoly._from_pair(self.table, self.field, (ints, den))
+        return _held_poly(self.table, self.field, ints, den * d)
 
     def _mul_dict(self, other: "MultiPoly"):
         f = self.field
         if isinstance(f, PrimeField):
-            a, b = self.terms, other.terms
+            a, b = self._terms, other._terms
             if len(a) < len(b):
                 a, b = b, a
             p = f.p
@@ -410,8 +450,10 @@ class MultiPoly:
         delta = tuple(delta)
         if not any(delta):
             return self
+        if self._pair is not None:
+            return self._scaled(1, 1, delta)
         return MultiPoly(self.table, self.field,
-                         {tuple(map(add, e, delta)): c for e, c in self.terms.items()},
+                         {tuple(map(add, e, delta)): c for e, c in self._terms.items()},
                          _clean=False)
 
     # --------------------------------------------------------------- queries
@@ -522,57 +564,6 @@ class MultiPoly:
         return f"MultiPoly({body!r}, vars={self.table.names}, field={self.field})"
 
 
-class _IntPoly(MultiPoly):
-    """A held Q or Q[t]/(m) polynomial: ``terms`` is built from ``_pair`` on
-    first read, as ``{exps: Fraction}`` or ``{exps: (ints, den)}`` raw
-    values each in the field's own normal form, and then kept in the slot."""
-
-    __slots__ = ()
-    _terms = MultiPoly.terms  # the slot itself, which the property hides
-
-    def __init__(self, table, field, pair):
-        self.table, self.field, self._pair = table, field, pair
-
-    @property
-    def terms(self):
-        try:
-            return self._terms
-        except AttributeError:
-            ints, den = self._pair
-            view = Fraction if isinstance(self.field, Rationals) else self.field._from_ints
-            self._terms = terms = {e: view(c, den) for e, c in ints.items()}
-            return terms
-
-    def _stored(self):
-        return self._pair[0]
-
-    def _scaled(self, n, d, delta):
-        """This polynomial times ``n/d * x^delta``, held."""
-        ints, den = self._pair
-        if any(delta):
-            ints = {tuple(map(add, e, delta)): c for e, c in ints.items()}
-        if n != 1:
-            ints = _add_into({}, ints.items(), n, isinstance(self.field, QuotientExtension))
-        if d == 1 and n in (1, -1):
-            return _IntPoly(self.table, self.field, (ints, den))
-        return _held_poly(self.table, self.field, ints, den * d)
-
-    def __neg__(self):
-        return self._scaled(-1, 1, ())
-
-    def shift_exponents(self, delta):
-        return self._scaled(1, 1, tuple(delta))
-
-    def _mul_monomial(self, mono):
-        ints, d = mono._held()
-        (me, n), = ints.items()
-        if type(n) is tuple:  # over Q[t]/(m): a scalar only if n is rational
-            if any(n[1:]):
-                return self._mul_dict(mono)
-            n = n[0]
-        return self._scaled(n, d, me)
-
-
 def _held_poly(table, field, ints, den):
     """The held ``sum(ints[e] * x^e) / den`` in normal form: one ``gcd``
     over the denominator and all ints (zero entries leave it unchanged),
@@ -585,7 +576,7 @@ def _held_poly(table, field, ints, den):
                      else {e: c // g for e, c in ints.items() if c}), den // g
     elif not all(map(any, ints.values()) if vec else ints.values()):
         ints = {e: c for e, c in ints.items() if (any(c) if vec else c)}
-    return _IntPoly(table, field, (ints, den))
+    return MultiPoly._from_pair(table, field, (ints, den))
 
 
 # --------------------------------------------------------------- operations
@@ -656,7 +647,7 @@ def substitute(poly: MultiPoly, images: dict, into: VarTable | None = None
 
     # a held polynomial maps its held values when no image scales them
     vec = isinstance(f, QuotientExtension)
-    held = (vec or type(poly) is _IntPoly) and all(p is None for _, _, p in maps)
+    held = (vec or poly._pair is not None) and all(p is None for _, _, p in maps)
     terms, den = poly._held() if held else (poly.terms, None)
     width = len(target)
     grouped: dict[tuple, list] = {}
@@ -795,7 +786,7 @@ def divide_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
 def truncate_var(f: MultiPoly, name: str, k: int) -> MultiPoly:
     """Drop all terms with exponent >= k on the named variable."""
     i = f.table.index(name)
-    if type(f) is _IntPoly:
+    if f._pair is not None:
         ints, den = f._pair
         return _held_poly(f.table, f.field, {e: c for e, c in ints.items() if e[i] < k}, den)
     return MultiPoly(f.table, f.field,

@@ -480,9 +480,10 @@ def test_traced_certs_run_records_every_boundary(tmp_path):
     confirmed = {r[tracer.PARENT] for r in rows if r[tracer.NAME] == check}
     assert found and set(found) <= confirmed
 
-def test_traced_verify_ext_run_records_every_boundary(tmp_path):
-    """A traced ``verify all`` over ext:t^2+1, the benchmark's verify-ext
-    workload: it exits 0 and every boundary of the traced verify gate
+@pytest.mark.parametrize("field", ["q", "fp:11", "ext:t^2+1"])
+def test_traced_verify_run_records_every_boundary(tmp_path, field):
+    """A traced ``verify all`` over each field of the benchmark's verify
+    workloads: it exits 0 and every boundary of the traced verify gate
     records calls, the field's ``add``, ``mul``, ``div`` and ``inv``
     included, although held polynomials add and multiply without them."""
     root = Path(__file__).resolve().parents[1]
@@ -491,7 +492,7 @@ def test_traced_verify_ext_run_records_every_boundary(tmp_path):
         (str(root / "src"), str(bench))))
     proc = subprocess.run(
         [sys.executable, str(bench / "child.py"), "verify", "--field",
-         "ext:t^2+1", "--spans", str(tmp_path / "spans.json")],
+         field, "--spans", str(tmp_path / "spans.json")],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])

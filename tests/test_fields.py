@@ -34,6 +34,14 @@ def test_rationals_basic():
         a / QQ.elem(0)
 
 
+@given(st.fractions(max_denominator=10 ** 6).filter(bool))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_rational_inverse_keeps_the_sign_in_the_numerator(a):
+    for x in (a, -a, Fraction(a.numerator)):
+        inv = QQ.inv(x)
+        assert inv == 1 / x and inv.denominator > 0
+
+
 def test_prime_field_requires_prime():
     with pytest.raises(BadFieldSpec):
         PrimeField(12)

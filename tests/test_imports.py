@@ -20,7 +20,8 @@ No function of the library assigns a plain name that it never reads;
 tuple-unpacking targets and ``_``-prefixed names are exempt.
 
 Only ``poly.py`` touches the term store of a ``MultiPoly``: no other module
-reads an attribute named ``terms`` or passes ``_clean=``.
+reads an attribute named ``terms``, ``_terms`` or ``_pair``, or passes
+``_clean=``.
 
 No ``except`` handler of the library has a body of only ``pass``: an error
 is either handled or left to propagate, never swallowed.
@@ -119,8 +120,9 @@ def test_no_unread_local_assignments(path):
                          ids=lambda p: p.name)
 def test_term_store_stays_inside_poly(path):
     tree = ast.parse(path.read_text(), filename=str(path))
-    hits = [f"line {node.lineno}: .terms" for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "terms"]
+    hits = [f"line {node.lineno}: .{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("terms", "_terms", "_pair")]
     hits += [f"line {node.value.lineno}: _clean=" for node in ast.walk(tree)
              if isinstance(node, ast.keyword) and node.arg == "_clean"]
     assert not hits, f"{path.name} reaches into MultiPoly terms: {', '.join(hits)}"

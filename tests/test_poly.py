@@ -755,8 +755,9 @@ def test_ring_descriptor():
 
 
 def int_held(p):
-    """``p`` over Q or Q[t]/(m) as a held polynomial."""
-    return poly._IntPoly(p.table, p.field, p._held())
+    """``p`` over Q or Q[t]/(m) as a held polynomial. It lifts ``p``, which
+    from then on computes held as well."""
+    return MultiPoly._from_pair(p.table, p.field, p._held())
 
 
 def frac_held(p):
@@ -775,7 +776,7 @@ def frac_sum(p, q, sign=1):
 def assert_int_held(got, want):
     """``got`` is int-held, its pair is in normal form, and its ``terms``
     read as the Fraction dict ``want``, key for key and in order."""
-    assert type(got) is poly._IntPoly
+    assert got._pair is not None
     ints, den = got._pair
     assert den > 0 and all(ints.values())
     assert gcd(den, *ints.values()) == 1
@@ -792,8 +793,9 @@ def test_int_held_sums_match_fraction_sums(p, q):
         assert_int_held(u - v, frac_sum(p, q, -1))
     assert_int_held(int_held(p) - int_held(p), {})
     assert_int_held(-int_held(p), {e: -c for e, c in p.terms.items()})
-    # two Fraction-held operands stay on the field's own add
-    assert type(p + q) is MultiPoly and (p + q).terms == frac_sum(p, q)
+    # two Fraction-held operands, never lifted, stay on the field's own add
+    total = frac_held(p) + frac_held(q)
+    assert total._pair is None and total.terms == frac_sum(p, q)
 
 
 @given(polys2.filter(lambda p: len(p) > 1), polys2.filter(lambda p: len(p) > 1))
@@ -838,7 +840,7 @@ def test_int_held_exact_division_matches_fraction_path(p, q):
     for n, d in ((prod, q), (prod, int_held(q)), (frac_held(prod), int_held(q))):
         got = divide_exact(n, d)
         assert got.terms == want.terms
-        if type(got) is poly._IntPoly:
+        if got._pair is not None:
             assert_int_held(got, want.terms)
 
 
@@ -861,13 +863,13 @@ def test_verify_off_q_holds_no_q_polynomial_beyond_ex23_ex24(monkeypatch, field)
     the field. Over F_p nothing else is held; over Q[t]/(m) polynomials
     are held over that field, and over ext:5t^2-1 in ex47."""
     built = {}
-    init = poly._IntPoly.__init__
+    lift = MultiPoly._held
 
-    def recording(self, table, f, pair):
-        built.setdefault(check_id, set()).add(f)
-        init(self, table, f, pair)
+    def recording(self):
+        built.setdefault(check_id, set()).add(self.field)
+        return lift(self)
 
-    monkeypatch.setattr(poly._IntPoly, "__init__", recording)
+    monkeypatch.setattr(MultiPoly, "_held", recording)
     for check_id in VERIFY_IDS:
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["verify", check_id, "--field", field]) == 0
@@ -883,6 +885,28 @@ def test_verify_off_q_holds_no_q_polynomial_beyond_ex23_ex24(monkeypatch, field)
 
 HELD_EXTS = [EXT_I, EXT_CBRT2, EXT_5, field_from_descriptor("ext:2t^3-3")]
 HELD_EXT_IDS = ["ext:t^2+1", "ext:t^3-2", "ext:5t^2-1", "ext:2t^3-3"]
+
+
+@pytest.mark.parametrize("field", [QQ, *HELD_EXTS], ids=["q", *HELD_EXT_IDS])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pair_and_terms_views_agree(field, data):
+    """A polynomial built from its pair reads back the terms it was lifted
+    from, key order included; one built from the terms of a held polynomial
+    lifts to the same normal-form pair. The zero polynomial is one case."""
+    cs = coeffs if field is QQ else st.tuples(*[coeffs] * field.degree)
+    p = data.draw(polys_over(T2, field, cs, exps2, max_size=8))
+    for q in (p, MultiPoly.zero(T2, field)):
+        held = MultiPoly._from_pair(T2, field, q._held())
+        assert list(held.terms.items()) == list(q.terms.items())
+    vals = st.integers(-60, 60)
+    raw = data.draw(st.dictionaries(
+        exps2, vals if field is QQ else st.tuples(*[vals] * field.degree), max_size=8))
+    for held in (poly._held_poly(T2, field, raw, data.draw(st.integers(1, 90))),
+                 MultiPoly._from_pair(T2, field, ({}, 1))):
+        ints, den = held._pair
+        back = MultiPoly(T2, field, held.terms)._held()
+        assert back == (ints, den) and list(back[0]) == list(ints)
 
 
 def ext_polys(field, **kw):
@@ -907,7 +931,7 @@ def assert_held_ext(got, want, is_held=True):
     dict ``want``; with ``is_held``, ``got`` is held itself (a zero operand,
     or a monomial with coefficient 1, may short-cut a product to a plain
     result)."""
-    assert type(got) is poly._IntPoly or not is_held
+    assert got._pair is not None or not is_held
     ints, den = got._held()
     d = got.field.degree
     assert type(den) is int and den > 0
