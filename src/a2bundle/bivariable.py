@@ -13,8 +13,9 @@ chart:
 Composing one system with the inverse of the other fixes ``x`` and shifts
 ``y`` by a function of ``x`` alone; that shift, rewritten over the
 three-variable base table, is the glueing function of a plane bundle over
-the punctured base plane.  :func:`certify` re-derives all of this from
-scratch, so a certificate can never get out of sync with its words.
+the punctured base plane.  :func:`certify` derives all of this and keeps
+both chart maps; a builder continues its parent's maps with the new moves,
+while a loaded document is re-derived from its words alone.
 
 Besides the basic families (monomial denominators, monomial denominators
 with a base-constant shift), the module implements the two extension moves
@@ -83,17 +84,20 @@ def to_plane(p: MultiPoly) -> MultiPoly:
 class BivariableCert(Record):
     """A machine-checked pair of chart coordinate systems sharing ``omega``.
 
-    Instances should come out of :func:`certify` (directly or through the
-    builders below); every field is re-derived there, so the words are the
-    single source of truth.
+    Only :func:`certify` builds instances (directly or through the builders
+    below); every field is derived there from the words, the single source
+    of truth, and a child certificate trusts its parent's maps.
     """
 
     __slots__ = ("omega",       # the shared element, in k[a,b][x,y]
                  "alpha_word",  # a-chart word, Jacobian normalised to 1
                  "beta_word",   # b-chart word, Jacobian normalised to 1
                  "f",           # TransitionFunction: alpha o beta^{-1} == (x, y + f(x))
-                 "tau_a",       # second coordinate of the a-chart system
-                 "tau_b")       # second coordinate of the b-chart system
+                 "flat_a",      # PolyMap of alpha_word: (omega, tau_a), Jacobian 1
+                 "flat_b")      # PolyMap of beta_word: (omega, tau_b), Jacobian 1
+
+    tau_a = property(lambda self: self.flat_a.comps["y"])  # a-chart second coordinate
+    tau_b = property(lambda self: self.flat_b.comps["y"])  # b-chart second coordinate
 
     @property
     def field(self) -> FieldSpec:
@@ -131,7 +135,8 @@ def _normalise_jacobian(word, flat, chart_var, side):
     return word + scale, flat
 
 
-def certify(omega: MultiPoly, alpha_word, beta_word) -> BivariableCert:
+def certify(omega: MultiPoly, alpha_word, beta_word, parent=None
+            ) -> BivariableCert:
     """Validate a pair of chart words for ``omega`` and extract the glueing.
 
     Checks, in order: ``omega`` has no inverted variables; each Jacobian is
@@ -142,9 +147,14 @@ def certify(omega: MultiPoly, alpha_word, beta_word) -> BivariableCert:
     f(x))`` in every characteristic, with no Jacobian argument:
     ``alpha(beta^{-1}(p)) = (omega, tau_b + f(omega))(beta^{-1}(p)) = (p_x,
     p_y + f(p_x))``.  So the composite word only has to find ``f``: folded
-    from the map sending ``y`` to 0, its ``y``-image is ``f``.  Raises
+    from the map sending ``y`` to 0, its ``y``-image is ``f``.  A ``parent``
+    whose words start both words seeds both folds with its maps, and the
+    composite folds ``invert(beta_new) + (y += f_parent) + alpha_new``: the
+    parent proved ``alpha_p o beta_p^{-1} = (x, y + f_parent(x))`` and
+    :func:`flatten` is compositional, so only the new moves are replayed and
+    every check above runs on the continued maps.  Raises
     :class:`JacobianNotUnit`, :class:`ShapeError` or :class:`MembershipError`;
-    returns the certificate with ``f`` and both second coordinates.
+    returns the certificate with ``f`` and both chart maps.
     """
     if omega.table.names != GLUE.names:
         raise ShapeError(
@@ -157,8 +167,13 @@ def certify(omega: MultiPoly, alpha_word, beta_word) -> BivariableCert:
             component="omega", term=exps)
 
     alpha_word, beta_word = tuple(alpha_word), tuple(beta_word)
-    flat_a = flatten(alpha_word, GLUE, F, BASE)
-    flat_b = flatten(beta_word, GLUE, F, BASE)
+    prefix = (parent.alpha_word, parent.beta_word) if parent else ((), ())
+    na, nb = map(len, prefix)
+    if (alpha_word[:na], beta_word[:nb]) != prefix:
+        raise ShapeError("words do not start with the parent certificate's words")
+    start_a, start_b = (parent.flat_a, parent.flat_b) if parent else (None, None)
+    flat_a = flatten(alpha_word[na:], GLUE, F, BASE, start=start_a)
+    flat_b = flatten(beta_word[nb:], GLUE, F, BASE, start=start_b)
     alpha_word, flat_a = _normalise_jacobian(alpha_word, flat_a, "a", "a-chart")
     beta_word, flat_b = _normalise_jacobian(beta_word, flat_b, "b", "b-chart")
 
@@ -172,20 +187,20 @@ def certify(omega: MultiPoly, alpha_word, beta_word) -> BivariableCert:
     on_line = dict(zip(GLUE.names, MultiPoly.gens(GLUE, F)))
     on_line["y"] = MultiPoly.zero(GLUE, F)
     start = PolyMap(GLUE, F, BASE, on_line, MultiPoly.zero(GLUE, F))
-    shift = flatten(invert(beta_word) + alpha_word, GLUE, F, BASE,
-                    start=start).comps["y"]
+    middle = (Triangular("y", to_glue(parent.f.f)),) if parent else ()
+    shift = flatten(invert(beta_word[nb:]) + middle + alpha_word[na:],
+                    GLUE, F, BASE, start=start).comps["y"]
     if shift and shift.min_degree_in("x") < 0:
         raise ShapeError(f"chart change shift {shift} inverts x")
 
     f_plane = to_plane(shift)
     tf = TransitionFunction.from_poly(f_plane)
-    tau_a, tau_b = flat_a.comps["y"], flat_b.comps["y"]
     glued = substitute(f_plane, {"x": omega}, into=GLUE)
-    if tau_a - tau_b - glued:
+    if flat_a.comps["y"] - flat_b.comps["y"] - glued:
         raise ShapeError(
             "second coordinates do not differ by f(omega); words are "
             "inconsistent")
-    return BivariableCert(omega, alpha_word, beta_word, tf, tau_a, tau_b)
+    return BivariableCert(omega, alpha_word, beta_word, tf, flat_a, flat_b)
 
 
 # ------------------------------------------------------------ basic families
@@ -230,7 +245,7 @@ def with_constant(m: int, n: int, shift: MultiPoly) -> BivariableCert:
     plain = basic_bivariable(m, n, field=F)
     alpha = plain.alpha_word + (Triangular("x", c),)
     beta = plain.beta_word + (Triangular("x", c),)
-    return certify(plain.omega + c, alpha, beta)
+    return certify(plain.omega + c, alpha, beta, parent=plain)
 
 
 def ex66_bivariable(field: FieldSpec = QQ) -> BivariableCert:
@@ -283,7 +298,8 @@ def _extend(cert: BivariableCert, side: str, m: int, n: int, Q: MultiPoly
     phi = lemma41_build(GLUE, F, "x", "y", s, k, q, partner)
     omega_hat = cert.omega + s * substitute(q, {"x": sk * tau})
     on_a, on_b = (tri, phi) if side == "a" else (phi, tri)
-    return certify(omega_hat, cert.alpha_word + on_a, cert.beta_word + on_b)
+    return certify(omega_hat, cert.alpha_word + on_a, cert.beta_word + on_b,
+                   parent=cert)
 
 
 def extend_a(cert: BivariableCert, m: int, n: int, Q: MultiPoly
@@ -294,8 +310,8 @@ def extend_a(cert: BivariableCert, m: int, n: int, Q: MultiPoly
     function ``f``.  The new element is
     ``omega + a*Q(a^m*tau_a)``: a plain triangular move on the a-word, and a
     torus-glueing block (scalar ``a``, exponent ``m``) on the b-word, whose
-    congruence partner is grown from ``a^m*f``.  The result is re-certified
-    from scratch.
+    congruence partner is grown from ``a^m*f``.  The result is certified
+    as a continuation of ``cert``: only the two new moves are folded.
     """
     return _extend(cert, "a", m, n, Q)
 

@@ -492,10 +492,8 @@ def verify_geometric_ladder(p_text: str, rungs, field: FieldSpec = QQ) -> list:
     # f_1 does not depend on n
     f1 = formal_transition(FibrationSpec(P, 1), 1)
     inv_a, inv_b = invert(cert.alpha_word), invert(cert.beta_word)
-    flat_a = flatten(cert.alpha_word, GLUE, F, BASE)
-    flat_b = flatten(cert.beta_word, GLUE, F, BASE)
     ident = flatten((Triangular("y", to_glue(f1)),) + inv_a, GLUE, F, BASE,
-                    start=flat_b)
+                    start=cert.flat_b)
     one = MultiPoly.const(GLUE, F, 1)
     ax, bx, fx = MultiPoly.gens(PLANE, F)
     p_over_a = substitute(P, {"z": fx * ax ** -1}, into=PLANE)
@@ -512,9 +510,9 @@ def verify_geometric_ladder(p_text: str, rungs, field: FieldSpec = QQ) -> list:
 
         fm = formal_transition(FibrationSpec(P, n), m)
         fwd = flatten((Triangular("y", to_glue(fm)),) + inv_a, GLUE, F, BASE,
-                      start=flat_b)
+                      start=cert.flat_b)
         bwd = flatten((Triangular("y", -to_glue(fm)),) + inv_b, GLUE, F, BASE,
-                      start=flat_a)
+                      start=cert.flat_a)
         for tag, pm in (("forward", fwd), ("backward", bwd)):
             b.expect(f"{tag}-conjugate-in-blow-up-ring",
                      BLOWUP.contains(pm.comps["x"])

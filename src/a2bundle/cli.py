@@ -57,6 +57,9 @@ NINE_PAIRS = tuple((p, n)
                    for n in (1, 2, 3))
 #: default (n, m) rungs for the one-denominator ladder
 LADDER_RUNGS = ((1, 1), (2, 1), (3, 1), (1, 2), (1, 3))
+#: the largest --n, --m and --smax of any command: prop22's stock search
+#: bound; at it the slowest stock command (lemma52, P = z^2) takes 0.45 s
+MAX_FLAG = 12
 
 def _zpoly(text, field):
     return parse(text, PVAR, field)
@@ -249,6 +252,7 @@ def _cmd_bivar_extend(args, field) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    bound = f"at most {MAX_FLAG}"
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--field", default="q", metavar="DESC",
                         help="coefficient field: q, fp:<p> or ext:<minpoly>")
@@ -267,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compute a chart-transition function")
     p.add_argument("--P", required=True, metavar="EXPR",
                    help="defining polynomial in z")
-    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--n", required=True, type=int, help=bound)
     p.add_argument("--m", type=int, default=None,
-                   help="number of sum terms (default: smallest legal)")
+                   help=f"number of sum terms, {bound} (default: smallest legal)")
     p.set_defaults(run=_cmd_transition)
 
     p = sub.add_parser("verify", parents=[common],
@@ -278,10 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--P", metavar="EXPR", default=None,
                    help="defining polynomial (lemma21/prop22/thm12/"
                         "lemma44/lemma52)")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--n", type=int, default=None, help=bound)
+    p.add_argument("--m", type=int, default=None, help=bound)
     p.add_argument("--smax", type=int, default=None,
-                   help="stability-exponent search bound (prop22)")
+                   help=f"stability-exponent search bound (prop22), {bound}")
     p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("a1equiv", parents=[common],
@@ -296,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "denominator-cleared glueing functions")
     p.add_argument("--fb", required=True, metavar="EXPR")
     p.add_argument("--gb", required=True, metavar="EXPR")
-    p.add_argument("--m", required=True, type=int)
+    p.add_argument("--m", required=True, type=int, help=bound)
     p.add_argument("--Q", required=True, metavar="EXPR")
     p.set_defaults(run=_cmd_prop45)
 
@@ -305,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "move work")
     p.add_argument("--fb", required=True, metavar="EXPR")
     p.add_argument("--gb", required=True, metavar="EXPR")
-    p.add_argument("--m", required=True, type=int)
+    p.add_argument("--m", required=True, type=int, help=bound)
     p.add_argument("--deg", required=True, type=int,
                    help="payload degree bound; deg+1 and the len(pool)^(deg+1) "
                         f"candidates may each be at most {MAX_CANDIDATES}")
@@ -326,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", required=True, metavar="FILE",
                    help="certificate JSON produced by this package")
     p.add_argument("--side", required=True, choices=("a", "b"))
-    p.add_argument("--m", required=True, type=int)
-    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--m", required=True, type=int, help=bound)
+    p.add_argument("--n", required=True, type=int, help=bound)
     p.add_argument("--Q", required=True, metavar="EXPR",
                    help="extension payload (polynomial in x over the base)")
     p.set_defaults(run=_cmd_bivar_extend)
@@ -342,6 +346,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for flag in ("n", "m", "smax"):
+            if (getattr(args, flag, None) or 0) > MAX_FLAG:
+                raise AlgebraError(f"--{flag} must be at most {MAX_FLAG}")
         field = field_from_descriptor(args.field)
         return args.run(args, field)
     except (AlgebraError, OSError, ValueError, KeyError) as exc:

@@ -42,7 +42,15 @@ from a2bundle.errors import (
 from a2bundle.exprio import field_from_descriptor, parse, to_expr
 from a2bundle.fibration import PLANE, PVAR, FibrationSpec, closed_form_m1
 from a2bundle.fields import QQ
-from a2bundle.maps import Lemma41Block, Scale, Triangular, flatten, invert
+from a2bundle.maps import (
+    Lemma41Block,
+    Permute,
+    PolyMap,
+    Scale,
+    Triangular,
+    flatten,
+    invert,
+)
 from a2bundle.poly import MultiPoly, substitute
 
 
@@ -249,6 +257,16 @@ def test_certify_rejects_tampered_chart_difference(monkeypatch):
     assert seen == ["b-chart", "composite"]
 
 
+def test_certify_rejects_parent_that_is_not_a_prefix():
+    c11, c12 = basic_bivariable(1, 1), basic_bivariable(1, 2)
+    with pytest.raises(ShapeError, match="parent certificate's words"):
+        certify(c12.omega, c12.alpha_word, c12.beta_word, parent=c11)
+    # one word continuing the parent is not enough
+    longer = c11.alpha_word + (Triangular("x", gpoly("b")),)
+    with pytest.raises(ShapeError, match="parent certificate's words"):
+        certify(c11.omega + gpoly("b"), longer, c12.beta_word, parent=c11)
+
+
 CERT_BUILDERS = {
     "basic(1,2)": lambda F: basic_bivariable(1, 2, field=F),
     "ex66": ex66_bivariable,
@@ -302,6 +320,23 @@ def test_extend_zero_payload_is_identity_move():
     assert hat.f.f == base.f.f
     assert hat.tau_a == base.tau_a
     assert hat.tau_b == base.tau_b
+
+
+def test_extend_applies_no_generator_of_its_parent(monkeypatch):
+    # the parent's chart maps seed both folds, so none of its generators is
+    # replayed; identity, not equality, tells the parent's moves apart
+    parent = with_constant(1, 1, ppoly("1 + a*b"))
+    applied = []
+    for cls in (Triangular, Scale, Permute, Lemma41Block):
+        def counting(self, state, real=cls.apply):
+            applied.append(self)
+            return real(self, state)
+        monkeypatch.setattr(cls, "apply", counting)
+    hat = extend_a(parent, 1, 1, gpoly("x^2 + 2"))
+    assert applied
+    own = {id(g) for g in parent.alpha_word + parent.beta_word}
+    assert not [g for g in applied if id(g) in own]
+    assert hat.alpha_word[:len(parent.alpha_word)] == parent.alpha_word
 
 
 def test_extend_requires_cleared_denominators():
@@ -370,8 +405,10 @@ def test_descent_pullbacks_are_chart_differences(descriptor, p_text):
 def test_descent_pullback_congruence_sees_tau_a(monkeypatch, shift, verdict):
     def mutated(*args, **kw):
         hat = extend_a(*args, **kw)
+        comps = {**hat.flat_a.comps, "y": hat.tau_a + gpoly(shift, hat.field)}
+        flat_a = PolyMap(GLUE, hat.field, ("a", "b"), comps, hat.flat_a.jac)
         return BivariableCert(hat.omega, hat.alpha_word, hat.beta_word, hat.f,
-                              hat.tau_a + gpoly(shift, hat.field), hat.tau_b)
+                              flat_a, hat.flat_b)
 
     monkeypatch.setattr(bivariable, "extend_a", mutated)
     res = verify_quadratic_descent("z^2")
@@ -566,6 +603,46 @@ def test_extension_recertifies_property(q, side):
     comp = flatten(invert(hat.beta_word) + hat.alpha_word, GLUE, QQ,
                    ("a", "b"))
     assert comp.comps["x"] == MultiPoly.var(GLUE, QQ, "x")
+
+
+def _chain_start(F, start, m, n, c):
+    if start == "basic":
+        return basic_bivariable(m, n, field=F)
+    return with_constant(m, n, ppoly(c, F))
+
+
+chain_moves = st.lists(
+    st.tuples(st.sampled_from("ab"), st.integers(-1, 2), st.integers(-1, 2),
+              st.sampled_from(["1", "a", "b"])),
+    max_size=3)
+
+
+@pytest.mark.parametrize("descriptor", ["q", "fp:11", "ext:t^2+1"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(start=st.sampled_from(["basic", "constant"]), m=st.integers(1, 2),
+       n=st.integers(1, 2), c=st.sampled_from(["a", "1 + a*b", "b^2"]),
+       moves=chain_moves)
+def test_continued_certificates_match_parent_free_certify(
+        descriptor, start, m, n, c, moves):
+    # every link of a chain, certified as a continuation of its parent,
+    # equals the certificate re-derived from its full words alone
+    F = field_from_descriptor(descriptor)
+    chain = [_chain_start(F, start, m, n, c)]
+    for side, c0, c1, unit in moves:
+        prev = chain[-1]
+        payload = gpoly(f"({c0} + ({c1})*x)*{unit}", F)
+        move = extend_a if side == "a" else extend_b
+        chain.append(move(prev, max(1, prev.f.m_min), max(1, prev.f.n_min),
+                          payload))
+    for cert in chain:
+        fresh = certify(cert.omega, cert.alpha_word, cert.beta_word)
+        assert fresh.omega == cert.omega
+        assert (fresh.alpha_word, fresh.beta_word) == (cert.alpha_word, cert.beta_word)
+        assert fresh.f == cert.f
+        assert (fresh.tau_a, fresh.tau_b) == (cert.tau_a, cert.tau_b)
+        for new, old in ((fresh.flat_a, cert.flat_a), (fresh.flat_b, cert.flat_b)):
+            assert new.comps == old.comps
+            assert new.jac == old.jac
 
 
 glue_polys = st.dictionaries(

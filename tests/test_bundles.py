@@ -715,9 +715,9 @@ def test_geometric_ladder_rungs_share_one_certificate(monkeypatch):
     real = bivariable.certify
     calls = []
 
-    def counting(*args):
+    def counting(*args, **kw):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kw)
 
     monkeypatch.setattr(bivariable, "certify", counting)
     multi = verify_geometric_ladder("z^2", LADDER_RUNGS)
@@ -729,6 +729,26 @@ def test_geometric_ladder_rungs_share_one_certificate(monkeypatch):
         return {k: v for k, v in check.items() if k != "millis"}
 
     assert [stripped(r) for r in multi] == [stripped(r) for r in singles]
+
+
+def test_geometric_ladder_flattens_no_full_certificate_word(monkeypatch):
+    # the certificate's chart maps come with it: the ladder folds only its
+    # conjugating words, and certify folds only each link's new moves
+    cert = p_shift_bivariable(zpoly("z^2"))
+    real = bundles.flatten
+    words = []
+
+    def recording(word, *args, **kw):
+        words.append(tuple(word))
+        return real(word, *args, **kw)
+
+    monkeypatch.setattr(bundles, "flatten", recording)
+    monkeypatch.setattr(bivariable, "flatten", recording)
+    results = verify_geometric_ladder("z^2", LADDER_RUNGS)
+    assert all(r.status == "pass" for r in results)
+    assert words
+    assert cert.alpha_word not in words
+    assert cert.beta_word not in words
 
 
 # ----------------------------------------------------------- consistency

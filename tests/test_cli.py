@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from a2bundle import bundles, errors, report
+from a2bundle import bundles, cli, errors, report
 from a2bundle.bivariable import (
     basic_bivariable,
     cert_from_json,
@@ -456,6 +456,58 @@ def test_out_flag_writes_file(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# ------------------------------------------------------------- flag bounds
+
+FB = "a^2*x*b^-2 - x^2*b^-1"
+GB = "-5/4*a^2*x^4*b^-3 - a*x^3*b^-2 + a^2*x*b^-2 - x^2*b^-1"
+#: every bounded flag of every command, its value written as {v}
+BOUNDED = [
+    ("n", ("transition", "--P", "z^2", "--n", "{v}")),
+    ("m", ("transition", "--P", "z^2", "--n", "1", "--m", "{v}")),
+    ("n", ("verify", "thm12", "--P", "z^2", "--n", "{v}")),
+    ("m", ("verify", "thm12", "--P", "z^2", "--n", "1", "--m", "{v}")),
+    ("m", ("verify", "lemma52", "--m", "{v}")),
+    ("smax", ("verify", "prop22", "--smax", "{v}")),
+    ("m", ("prop45", "--fb", FB, "--gb", GB, "--m", "{v}", "--Q", "1/2*x")),
+    ("m", ("search45", "--fb", FB, "--gb", GB, "--m", "{v}", "--deg", "1",
+           "--pool", "0,1/2,-1/2,1,-1")),
+    ("m", ("bivar", "extend", "--cert", "{cert}", "--side", "b", "--m", "{v}",
+           "--n", "2", "--Q", "x^2")),
+    ("n", ("bivar", "extend", "--cert", "{cert}", "--side", "a", "--m", "1",
+           "--n", "{v}", "--Q", "x^2")),
+]
+
+
+@pytest.mark.parametrize("flag, argv", BOUNDED,
+                         ids=[f"{argv[0]}-{argv[1]}-{flag}" for flag, argv in BOUNDED])
+def test_flag_bound_edge(monkeypatch, tmp_path, capsys, flag, argv):
+    # the bound is checked at a lowered edge: the largest allowed value runs
+    # the command, one more is a usage error before any work
+    monkeypatch.setattr(cli, "MAX_FLAG", 3)
+    cert = tmp_path / "c12.json"
+    cert.write_text(cert_to_json(basic_bivariable(1, 2)))
+
+    def fill(v):
+        return [a.format(v=v, cert=cert) for a in argv]
+
+    code, _, err = run(capsys, *fill(3))
+    assert code == 0, err
+    code, out, err = run(capsys, *fill(4))
+    assert code == 2
+    assert err == f"error: --{flag} must be at most 3\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (("transition",), 2), (("verify",), 3), (("prop45",), 1),
+    (("search45",), 1), (("bivar", "extend"), 2)])
+def test_help_states_flag_bound(monkeypatch, capsys, argv, flags):
+    monkeypatch.setattr(cli, "MAX_FLAG", 3)
+    code, out, _ = run(capsys, *argv, "--help")
+    assert code == 0
+    assert " ".join(out.split()).count("at most 3") == flags
 
 
 def test_missing_subcommand_exits_2(capsys):

@@ -23,6 +23,10 @@ Only ``poly.py`` touches the term store of a ``MultiPoly``: no other module
 reads an attribute named ``terms``, ``_terms`` or ``_pair``, or passes
 ``_clean=``.
 
+Only ``bivariable.certify`` calls ``BivariableCert(``: a certificate built
+with a parent continues the parent's chart maps, so nothing else in the
+library may make one.
+
 No ``except`` handler of the library has a body of only ``pass``: an error
 is either handled or left to propagate, never swallowed.
 
@@ -126,6 +130,28 @@ def test_term_store_stays_inside_poly(path):
     hits += [f"line {node.value.lineno}: _clean=" for node in ast.walk(tree)
              if isinstance(node, ast.keyword) and node.arg == "_clean"]
     assert not hits, f"{path.name} reaches into MultiPoly terms: {', '.join(hits)}"
+
+
+def _calls_by_function(node, name, fn=None):
+    """``(enclosing function, line)`` of every call to ``name`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            callee = child.func
+            if getattr(callee, "id", getattr(callee, "attr", None)) == name:
+                yield fn, child.lineno
+        inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 else fn)
+        yield from _calls_by_function(child, name, inner)
+
+
+def test_only_certify_builds_certificates():
+    calls = [(path.name, fn, line) for path in sorted(SRC.glob("*.py"))
+             for fn, line in _calls_by_function(ast.parse(path.read_text()),
+                                                "BivariableCert")]
+    assert calls, "no BivariableCert( call found in src/"
+    stray = [f"{name}:{line} in {fn}" for name, fn, line in calls
+             if (name, fn) != ("bivariable.py", "certify")]
+    assert not stray, f"BivariableCert built outside certify: {', '.join(stray)}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
