@@ -35,7 +35,10 @@ any other divisor it keeps one remainder dictionary and pops a heap.
 Substitution never raises an image to a power. A single-term image acts on
 each term's exponents and coefficient directly. The terms are then grouped
 by their exponents on the variables whose images have several terms, and
-the groups are evaluated by Horner's rule, one product per degree.
+the groups are evaluated by Horner's rule, one product per degree. Over F_p,
+and over Q on held ints, a large evaluation packs the groups and images once
+and runs every step as one integer convolution on packed keys; the result is
+unpacked and normalised once.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, lshift, neg, sub
 
 from .errors import (
@@ -140,6 +143,42 @@ def _add_into(out, pairs, k, vec):
 PACK_PAIRS = 512
 
 
+def _layout(bounds):
+    """Bit fields packing exponent tuples within the per-variable ``(lo, hi)``
+    bounds into ints: ``(shift, mask, lo)`` per variable, the field as wide as
+    ``(hi - lo).bit_length()``, and the bias, the key of the least tuple. A
+    key is ``sum(e_i << shift_i)``, so keys add as their tuples do, and two
+    tuples within the bounds never share one."""
+    fields, bias, shift = [], 0, 0
+    for lo, hi in bounds:
+        width = (hi - lo).bit_length()
+        fields.append((shift, (1 << width) - 1, lo))
+        bias += lo << shift
+        shift += width
+    return fields, bias
+
+
+def _pack(pairs, fields):
+    return [(sum([x << s for x, (s, _, _) in zip(e, fields)]), c) for e, c in pairs]
+
+
+def _unpack(out, fields, bias):
+    return {tuple([(((k - bias) >> s) & m) + lo for s, m, lo in fields]): c
+            for k, c in out.items()}
+
+
+def _mul_packed(a, b):
+    """Integer product of the packed ``(key, int)`` pairs ``a`` and ``b``,
+    ``b`` outer and ``a`` inner, cancelled keys kept as 0."""
+    out = {}
+    get = out.get
+    for k2, c2 in b:
+        for k1, c1 in a:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return out
+
+
 def _convolve(a, b):
     """Integer product of two term lists, cancelled terms kept as 0.
 
@@ -147,36 +186,22 @@ def _convolve(a, b):
     term-by-term product, ``b`` outer and ``a`` inner.
 
     A product of at least :data:`PACK_PAIRS` term pairs packs each exponent
-    tuple into one int and unpacks each output key once. Each variable gets a
-    bit field as wide as the ``bit_length`` of the two operands' summed
-    exponent spans, read biased by the least exponent sum, so no field
-    overflows. On the products of one ``verify all --field fp:11``, packing
-    was 1.5-5.9x slower below 128 pairs, about even up to 511 and twice as
-    fast from 512.
+    tuple into one int (:func:`_layout`, bounded by the two operands' summed
+    exponent spans) and unpacks each output key once. On the products of one
+    ``verify all --field fp:11``, packing was 1.5-5.9x slower below 128
+    pairs, about even up to 511 and twice as fast from 512.
     """
+    if len(a) * len(b) >= PACK_PAIRS:
+        fields, bias = _layout([(min(ca) + min(cb), max(ca) + max(cb)) for ca, cb in
+                                zip(zip(*[e for e, _ in a]), zip(*[e for e, _ in b]))])
+        return _unpack(_mul_packed(_pack(a, fields), _pack(b, fields)), fields, bias)
     out = {}
     get = out.get
-    if len(a) * len(b) < PACK_PAIRS:
-        for e2, c2 in b:
-            for e1, c1 in a:
-                e = tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
-        return out
-    fields, bias, shift = [], 0, 0
-    for col_a, col_b in zip(zip(*[e for e, _ in a]), zip(*[e for e, _ in b])):
-        lo = min(col_a) + min(col_b)
-        width = (max(col_a) + max(col_b) - lo).bit_length()
-        fields.append((shift, (1 << width) - 1, lo))
-        bias += lo << shift
-        shift += width
-    pa = [(sum([x << s for x, (s, _, _) in zip(e, fields)]), c) for e, c in a]
     for e2, c2 in b:
-        k2 = sum([x << s for x, (s, _, _) in zip(e2, fields)])
-        for k1, c1 in pa:
-            k = k1 + k2
-            out[k] = get(k, 0) + c1 * c2
-    return {tuple([(((k - bias) >> s) & m) + lo for s, m, lo in fields]): c
-            for k, c in out.items()}
+        for e1, c1 in a:
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+    return out
 
 
 def _mul_vectors(a, b, field):
@@ -602,6 +627,9 @@ def substitute(poly: MultiPoly, images: dict, into: VarTable | None = None
     product. The groups are then evaluated by Horner's rule in the first
     multi-term image ``X``, ``sum C_k X^k = (C_n*X + C_(n-1))*X + ... + C_0``,
     where each ``C_k`` is evaluated the same way over the remaining images.
+    Over F_p, and over held Q ints that no image scales, an evaluation of at
+    least :data:`PACK_PAIRS` estimated pairs (group terms times the longest
+    image times the top degree) runs on packed keys (:func:`_packed_horner`).
     """
     f = poly.field
     target = into
@@ -669,7 +697,14 @@ def substitute(poly: MultiPoly, images: dict, into: VarTable | None = None
         return MultiPoly.zero(target, f)
     groups = {key: _add_into({}, pairs, 1, vec) if held else _accumulate({}, pairs, f)
               for key, pairs in grouped.items()}
-    return _horner(groups, [img for _, img in multi], target, f, den)
+    images = [img for _, img in multi]
+    if images and (held and not vec or isinstance(f, PrimeField)) and PACK_PAIRS <= (
+            sum(map(len, groups.values())) * max(map(len, images)) * max(map(sum, groups))):
+        return _packed_horner(groups, images, target, f, den)
+    for key, g in groups.items():
+        groups[key] = (_held_poly(target, f, g, den) if held
+                       else MultiPoly(target, f, g, _clean=False))
+    return _horner(groups, images, MultiPoly.__mul__, MultiPoly.__add__)
 
 
 def _coeff_power(field, c, k):
@@ -691,20 +726,18 @@ def _power(mul, x, k):
         x = mul(x, x)
 
 
-def _horner(groups, images, target, field, den=None):
+def _horner(groups, images, mul, add):
     """Evaluate ``sum over keys of groups[key] * prod(images[i] ** key[i])``.
 
-    ``groups`` maps exponent tuples on ``images`` (never negative) to term
-    dicts over ``target``, or to held dicts over ``den`` if it is given. The
-    first image is the Horner variable: the coefficient of each of its
-    powers is evaluated recursively over the remaining images, then
-    ``((C_n*X + C_{n-1})*X + ...)*X + C_0`` takes one product by ``X`` per
-    degree.
+    ``groups`` maps exponent tuples on ``images`` (never negative) to
+    polynomials; ``mul(acc, image)`` and ``add(acc, c)`` are their product and
+    sum, and either may reuse ``acc``. The first image is the Horner
+    variable: the coefficient of each of its powers is evaluated recursively
+    over the remaining images, then ``((C_n*X + C_{n-1})*X + ...)*X + C_0``
+    takes one product by ``X`` per degree.
     """
     if not images:
-        if den is not None:
-            return _held_poly(target, field, groups[()], den)
-        return MultiPoly(target, field, groups[()], _clean=False)
+        return groups[()]
     x, rest = images[0], images[1:]
     by_degree: dict[int, dict] = {}
     for key, terms in groups.items():
@@ -712,12 +745,47 @@ def _horner(groups, images, target, field, den=None):
     acc = None
     for k in range(max(by_degree), -1, -1):
         if acc is not None:
-            acc = acc * x
+            acc = mul(acc, x)
         part = by_degree.get(k)
         if part is not None:
-            ck = _horner(part, rest, target, field, den)
-            acc = ck if acc is None else acc + ck
+            ck = _horner(part, rest, mul, add)
+            acc = ck if acc is None else add(acc, ck)
     return acc
+
+
+def _packed_horner(groups, images, target, field, den):
+    """:func:`_horner` on int dicts with packed keys, for the int groups of
+    :func:`substitute`: held ints over ``den`` over Q, residues over F_p.
+
+    One :func:`_layout` covers every partial sum, a group's exponents plus up
+    to ``top_i`` (image i's highest power) exponents of each image i. With
+    image i held as ints over ``d_i``, a group of key k is scaled by
+    ``prod(d_i ** (top_i - k_i))``, so each partial sum is ints over
+    ``den * prod(d_i ** top_i)``; each step is one :func:`_mul_packed`,
+    taken mod p over F_p, and the result is unpacked and normalised once."""
+    prime = isinstance(field, PrimeField)
+    xs, dens = zip(*[(img.terms, 1) if prime else img._held() for img in images])
+    top = [max(key[i] for key in groups) for i in range(len(images))]
+    lo, hi = [0] * len(target), [0] * len(target)
+    for exps, t in [(chain.from_iterable(groups.values()), 1), *zip(xs, top)]:
+        for v, col in enumerate(zip(*exps)):
+            lo[v] += t * min(0, *col)
+            hi[v] += t * max(0, *col)
+    fields, bias = _layout(zip(lo, hi))
+    for key, g in groups.items():
+        s = prod([d ** (t - k) for d, t, k in zip(dens, top, key)])
+        groups[key] = {k: c * s for k, c in _pack(g.items(), fields)}
+
+    def reduced(out):
+        return {k: r for k, c in out.items() if (r := c % field.p)} if prime else out
+
+    acc = _unpack(reduced(_horner(groups, [_pack(x.items(), fields) for x in xs],
+                                  lambda acc, x: reduced(_mul_packed(acc.items(), x)),
+                                  lambda acc, c: _add_into(acc, c.items(), 1, False))),
+                  fields, bias)
+    if prime:
+        return MultiPoly(target, field, acc, _clean=False)
+    return _held_poly(target, field, acc, den * prod([d ** t for d, t in zip(dens, top)]))
 
 
 def divide_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:

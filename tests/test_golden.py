@@ -60,16 +60,26 @@ def test_verify_all_matches_recorded_digest(field):
 
 
 def test_lemma44_multiplies_on_packed_keys(monkeypatch):
-    """The digests above cover the packed-key products only if a verify run
-    makes some; ``lemma44``'s quadratic descent does."""
-    pairs = []
-    convolve = poly._convolve
+    """The digests above cover the packed-key products and the packed Horner
+    substitution only if a verify run makes some; ``lemma44``'s quadratic
+    descent does both."""
+    pairs, horners = [], []
+    convolve, packed_horner = poly._convolve, poly._packed_horner
 
     def counting(a, b):
         pairs.append(len(a) * len(b))
         return convolve(a, b)
 
+    def counting_horner(*args):
+        horners.append(1)
+        return packed_horner(*args)
+
     monkeypatch.setattr(poly, "_convolve", counting)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["verify", "lemma44", "--field", "fp:11"]) == 0
-    assert max(pairs) >= poly.PACK_PAIRS
+    monkeypatch.setattr(poly, "_packed_horner", counting_horner)
+    for field in ("q", "fp:11"):
+        pairs.clear()
+        horners.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "lemma44", "--field", field]) == 0
+        assert max(pairs) >= poly.PACK_PAIRS
+        assert horners

@@ -680,6 +680,86 @@ def test_substitute_matches_naive_multi_term_images(field, cs, data):
     assert substitute(p, images, into=T4).terms == naive_substitute(p, images, into=T4)
 
 
+F2 = PrimeField(2)
+
+
+def count_calls(monkeypatch, owner, names):
+    """Wrap each named attribute of ``owner`` to count its calls."""
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(owner, name, counting(name))
+    return counts
+
+
+@pytest.mark.parametrize("field, cs", [(QQ, coeffs), (F11, f11_coeffs), (F2, st.integers(-5, 5))],
+                         ids=["q", "fp:11", "fp:2"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_packed_substitute_matches_naive(field, cs, data):
+    # a occurs inverted and maps to a Laurent monomial (of coefficient 1 over
+    # Q, where a scaling image leaves the held ints), so target exponents go
+    # negative; b, x and y map to up to three multi-term images
+    src = st.tuples(st.integers(-3, 3), *[st.integers(0, 3)] * 3)
+    p = data.draw(polys_over(T4, field, cs, src, max_size=10))
+    c = data.draw(nonzero(field, cs))
+    images = {"a": MultiPoly.monomial(T4, field, data.draw(small4), 1 if field is QQ else c)}
+    for n in "bxy":
+        images[n] = data.draw(polys_over(T4, field, nonzero(field, cs), small4,
+                                         min_size=2, max_size=4))
+    kind = data.draw(st.sampled_from(["plain", "zero image", "cancelling group"]))
+    if kind == "zero image":
+        images["b"] = MultiPoly.zero(T4, field)
+    elif kind == "cancelling group":
+        # with a -> 1, c*a*y^4 and -c*y^4 are the whole group of y^4
+        images["a"] = MultiPoly.const(T4, field, 1)
+        a_y4 = MultiPoly.monomial(T4, field, (1, 0, 0, 4), c)
+        p = p + a_y4 - a_y4.shift_exponents((-1, 0, 0, 0))
+    if field is QQ:
+        p = int_held(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "PACK_PAIRS", 1)
+        counts = count_calls(mp, poly, ["_packed_horner"])
+        got = substitute(p, images)
+    assert got.terms == naive_substitute(p, images)
+    if p.degree_in("x") and got:
+        assert counts["_packed_horner"] == 1
+
+
+@pytest.mark.parametrize("field", [QQ, F11, EXT_I], ids=["q", "fp:11", "ext:t^2+1"])
+def test_packed_substitute_threshold_boundary(monkeypatch, field):
+    def c(k):
+        return field.coerce((Fraction(k, 3), Fraction(1 - k)) if field is EXT_I else k % 10 + 1)
+
+    # 16 terms of x-degree up to 8 and a 4-term image: 512 estimated pairs
+    p = MultiPoly(T2, field, {(k % 9, k // 9 - 1): c(k) for k in range(16)})
+    if field is QQ:
+        p = int_held(p)
+    x = MultiPoly(T2, field, {(1, 0): c(1), (0, 1): c(2), (0, 0): c(3), (2, -1): c(4)})
+    assert len(p) * len(x) * p.degree_in("x") == 512
+    want = naive_substitute(p, {"x": x})
+    for threshold in (512, 513):  # packed Horner, then products of MultiPolys
+        monkeypatch.setattr(poly, "PACK_PAIRS", threshold)
+        counts = count_calls(monkeypatch, poly, ["_packed_horner", "_held_poly"])
+        muls = count_calls(monkeypatch, MultiPoly, ["__mul__"])
+        assert substitute(p, {"x": x}).terms == want
+        packs = threshold == 512 and field is not EXT_I
+        assert counts["_packed_horner"] == packs
+        # a packed evaluation multiplies no MultiPoly and normalises once
+        assert muls["__mul__"] == (0 if packs else 8)
+        if packs and field is QQ:
+            assert counts["_held_poly"] == 1
+        monkeypatch.undo()
+
+
 def test_substitute_rejects_image_over_another_field():
     p = MultiPoly.var(T2, QQ, "x") * MultiPoly.var(T2, QQ, "y")
     with pytest.raises(FieldMismatch):
@@ -704,18 +784,7 @@ def test_substitute_multiplies_once_per_degree(monkeypatch):
     y = MultiPoly.var(T2, QQ, "y")
     p = sum((x ** k for k in range(9)), MultiPoly.zero(T2, QQ))
     want = naive_substitute(p, {"x": x + y})
-    counts = {"__pow__": 0, "_mul_dict": 0}
-
-    def counting(name):
-        inner = getattr(MultiPoly, name)
-
-        def wrapper(*args):
-            counts[name] += 1
-            return inner(*args)
-        return wrapper
-
-    for name in counts:
-        monkeypatch.setattr(MultiPoly, name, counting(name))
+    counts = count_calls(monkeypatch, MultiPoly, ["__pow__", "_mul_dict"])
     assert substitute(p, {"x": x + y}).terms == want
     assert counts["__pow__"] == 0
     assert counts["_mul_dict"] <= 8
