@@ -76,11 +76,6 @@ def to_glue(p: MultiPoly) -> MultiPoly:
     return substitute(p, {}, into=GLUE)
 
 
-def to_plane(p: MultiPoly) -> MultiPoly:
-    """Re-table a ``y``-free polynomial over the punctured-plane table."""
-    return substitute(p, {}, into=PLANE)
-
-
 class BivariableCert(Record):
     """A machine-checked pair of chart coordinate systems sharing ``omega``.
 
@@ -193,7 +188,7 @@ def certify(omega: MultiPoly, alpha_word, beta_word, parent=None
     if shift and shift.min_degree_in("x") < 0:
         raise ShapeError(f"chart change shift {shift} inverts x")
 
-    f_plane = to_plane(shift)
+    f_plane = substitute(shift, {}, into=PLANE)
     tf = TransitionFunction.from_poly(f_plane)
     glued = substitute(f_plane, {"x": omega}, into=GLUE)
     if flat_a.comps["y"] - flat_b.comps["y"] - glued:

@@ -45,9 +45,10 @@ from .bivariable import (
 from .errors import (
     DegreeNotOne,
     PreconditionViolated,
+    Record,
     ShapeError,
 )
-from .exprio import parse
+from .exprio import field_from_descriptor, parse
 from .fibration import (
     PLANE,
     PVAR,
@@ -247,18 +248,13 @@ def prop45_search(f_b: MultiPoly, g_b: MultiPoly, m: int, deg_bound: int,
 # ------------------------------------------------------------- classifier
 
 
-class TrivialityVerdict:
+class TrivialityVerdict(Record):
     """Outcome of :func:`classify`: ``status`` is ``"trivial"``,
     ``"nontrivial"`` or ``"unknown"``; trivial verdicts carry a re-verified
     ``witness`` (a certificate or a coordinate word), nontrivial ones a
     ``reason``."""
 
     __slots__ = ("status", "witness", "reason")
-
-    def __init__(self, status, witness=None, reason=""):
-        self.status = status
-        self.witness = witness
-        self.reason = reason
 
     def __str__(self):
         if self.status == "nontrivial" and self.reason:
@@ -289,17 +285,17 @@ def classify(tf: TransitionFunction) -> TrivialityVerdict:
         cert = certify(xg, *words)
         if cert.f.f != tf.f:
             raise ShapeError("triviality witness recomputed a different f")
-        return TrivialityVerdict("trivial", witness=cert)
+        return TrivialityVerdict("trivial", cert, "")
     if m == 1 or n == 1:
         p00 = tf.p_num.set_vars_to_zero(("a", "b"))
         if p00:
             deg = p00.degree_in("x")
             if deg == 1:
                 word = lemma62_variable(tf.p_num, m, n)
-                return TrivialityVerdict("trivial", witness=word)
+                return TrivialityVerdict("trivial", word, "")
             return TrivialityVerdict(
-                "nontrivial", reason=f"deg P(0,0,x) = {deg}")
-    return TrivialityVerdict("unknown")
+                "nontrivial", None, f"deg P(0,0,x) = {deg}")
+    return TrivialityVerdict("unknown", None, "")
 
 
 # ------------------------------------------------- hypersurface realisation
@@ -537,8 +533,6 @@ def verify_geometric_ladder(p_text: str, rungs, field: FieldSpec = QQ) -> list:
 def ex47_field() -> FieldSpec:
     """The default coefficient field for the golden-ratio-flavoured sample:
     a square root of 1/5 adjoined to the rationals."""
-    from .exprio import field_from_descriptor
-
     return field_from_descriptor("ext:5t^2-1")
 
 

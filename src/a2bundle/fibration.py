@@ -25,7 +25,7 @@ from __future__ import annotations
 from .errors import NoPolynomialSInRange, PreconditionViolated, Record
 from .exprio import parse
 from .fields import QQ, FieldSpec
-from .maps import PolyMap, Scale, Triangular, flatten, invert
+from .maps import Scale, Triangular, flatten, invert
 from .poly import (
     MultiPoly,
     RingDescriptor,
@@ -103,20 +103,17 @@ def build_phi_word(spec: FibrationSpec, table: VarTable = CHART):
     )
 
 
-def build_phi(spec: FibrationSpec, table: VarTable = CHART) -> PolyMap:
-    return flatten(build_phi_word(spec, table), table, spec.field, base=("x",))
-
-
 def build_omega(spec: FibrationSpec, table: VarTable = CHART) -> MultiPoly:
     """omega = x*z + y*(u*y + P(z)); also phi's third component."""
     x, y, z, u, *_ = MultiPoly.gens(table, spec.field)
     return x * z + y * (u * y + spec.p_at(z))
 
 
-def build_v(spec: FibrationSpec, table: VarTable = CHART) -> MultiPoly:
-    """v = y + x^n * omega; completes x to a coordinate pair on 4-space."""
-    x, y, *_ = MultiPoly.gens(table, spec.field)
-    return y + x ** spec.n * build_omega(spec, table)
+def build_v(spec: FibrationSpec, omega: MultiPoly) -> MultiPoly:
+    """v = y + x^n * omega over ``omega``'s table, for ``omega`` from
+    :func:`build_omega`; completes x to a coordinate pair on 4-space."""
+    x, y, *_ = MultiPoly.gens(omega.table, spec.field)
+    return y + x ** spec.n * omega
 
 
 def _u_image(spec: FibrationSpec, omega: MultiPoly):
@@ -137,8 +134,8 @@ def verify_coordinate_facts(spec: FibrationSpec) -> CheckResult:
     flat = flatten(word, CHART, F, base=("x",))
 
     x, *_ = MultiPoly.gens(CHART, F)
-    v = build_v(spec)
     omega = build_omega(spec)
+    v = build_v(spec, omega)
     b.expect_zero("first-component-fixed", flat.comps["x"] - x)
     b.expect_zero("second-component-is-v", flat.comps["y"] - v)
     b.expect_zero("third-component-is-omega", flat.comps["z"] - omega)
@@ -281,8 +278,8 @@ def verify_bundle_identity(spec: FibrationSpec, m: int | None = None
     K = max(2, m)
     x, y, z, u = MultiPoly.gens(CHART, F)
 
-    v = build_v(spec)
     omega = build_omega(spec)
+    v = build_v(spec, omega)
     R, p_omega_x = _u_image(spec, omega)
     v_pow = [MultiPoly.const(CHART, F, 1), v]  # v^0 .. v^K, built once
     for _ in range(K - 1):
@@ -413,7 +410,7 @@ def verify_stable_variable(spec: FibrationSpec, s_max: int = 12) -> CheckResult:
     b.expect("components-polynomial", not bad,
              "; ".join(f"{name} = {c}" for name, c in bad))
     b.expect_zero("jacobian-minus-1", flat.jac - 1)
-    v = build_v(spec, CHART_EXT)
+    v = build_v(spec, build_omega(spec, CHART_EXT))
     x, *_, t = MultiPoly.gens(CHART_EXT, F)
     b.expect_zero("v-moves-by-x^s*t",
                   substitute(v, flat.comps) - (v + x ** s * t))

@@ -68,7 +68,16 @@ class FieldSpec(Record):
     def elem(self, value) -> "FieldElem":
         return FieldElem(self, self.coerce(value))
 
-    # concrete specs implement: zero, one, characteristic, coerce, add, sub,
+    def coerce(self, value):
+        """A raw value of this field; a FieldElem must belong to it, and any
+        other value goes to the concrete spec's ``_coerce``."""
+        if isinstance(value, FieldElem):
+            if value.spec != self:
+                raise FieldMismatch(f"cannot coerce element of {value.spec} into {self}")
+            return value.value
+        return self._coerce(value)
+
+    # concrete specs implement: zero, one, characteristic, _coerce, add, sub,
     # mul, neg, inv, div, is_zero, coeff_str, descriptor
 
 
@@ -80,15 +89,11 @@ class Rationals(FieldSpec):
     one = Fraction(1)
     characteristic = 0
 
-    def coerce(self, value):
+    def _coerce(self, value):
         if isinstance(value, Fraction):
             return value
         if isinstance(value, int):
             return Fraction(value)
-        if isinstance(value, FieldElem):
-            if value.spec != self:
-                raise FieldMismatch(f"cannot coerce element of {value.spec} into Q")
-            return value.value
         raise FieldMismatch(f"cannot interpret {value!r} as a rational")
 
     def add(self, a, b):
@@ -144,11 +149,7 @@ class PrimeField(FieldSpec):
     def characteristic(self):
         return self.p
 
-    def coerce(self, value):
-        if isinstance(value, FieldElem):
-            if value.spec != self:
-                raise FieldMismatch(f"cannot coerce element of {value.spec} into F_{self.p}")
-            return value.value
+    def _coerce(self, value):
         if isinstance(value, int):
             return value % self.p
         if isinstance(value, Fraction):
@@ -258,7 +259,7 @@ class QuotientExtension(FieldSpec):
     ``den`` that makes them ints. That form is unique, so ``==`` on raw
     values is element equality. ``zero`` is ``((0,) * d, 1)``, and every
     zero result is that constant. Element arithmetic runs on ints with at
-    most one ``gcd`` per result; ``Fraction`` appears only in ``coerce``,
+    most one ``gcd`` per result; ``Fraction`` appears only in ``_coerce``,
     ``inv`` and ``coeff_str``. Polynomials hold int vectors over one
     denominator and call none of these for sums or products. ``_mod`` is the
     primitive integer multiple of m, low to high, and ``L + C``: its leading
@@ -291,14 +292,10 @@ class QuotientExtension(FieldSpec):
 
     characteristic = 0
 
-    def coerce(self, value):
-        """A raw value from an int, a Fraction, a raw ``(ints, den)`` pair,
+    def _coerce(self, value):
+        """A raw value from an int, a Fraction, a raw ``(ints, den)`` pair or
         a tuple of rational coefficients low to high (reduced mod m when
-        longer than d) or a FieldElem of this field."""
-        if isinstance(value, FieldElem):
-            if value.spec != self:
-                raise FieldMismatch(f"cannot coerce element of {value.spec} into {self}")
-            return value.value
+        longer than d)."""
         if isinstance(value, (int, Fraction)):
             return self._from_ints([value.numerator], value.denominator)
         if isinstance(value, tuple):

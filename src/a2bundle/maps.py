@@ -227,34 +227,19 @@ class Lemma41Block(Record):
 # ----------------------------------------------------------- flattened maps
 
 
-class PolyMap:
+class PolyMap(Record):
     """A polynomial point map: one image per variable, base variables fixed.
 
-    ``comps`` maps every variable name to its image polynomial (base
-    variables map to themselves).  ``jac`` is always the exact Jacobian
-    determinant over the moved variables; :func:`flatten` carries it.
+    ``comps`` maps every variable name to its image polynomial (the names in
+    the tuple ``base`` map to themselves).  ``jac`` is always the exact
+    Jacobian determinant over the moved variables; :func:`flatten` carries it.
     """
 
     __slots__ = ("table", "field", "base", "comps", "jac")
 
-    def __init__(self, table: VarTable, field, base, comps, jac):
-        self.table = table
-        self.field = field
-        self.base = tuple(base)
-        self.comps = comps
-        self.jac = jac
-
     @property
     def moved(self):
         return tuple(n for n in self.table.names if n not in self.base)
-
-    def __eq__(self, other):
-        return (isinstance(other, PolyMap)
-                and self.table.names == other.table.names
-                and self.field == other.field
-                and self.comps == other.comps)
-
-    __hash__ = None
 
     def is_identity(self) -> bool:
         return all(c == MultiPoly.var(self.table, self.field, n)

@@ -251,10 +251,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, table, field, value):
-        raw = field.coerce(value)
-        if field.is_zero(raw):
-            return cls.zero(table, field)
-        return cls(table, field, {(0,) * len(table): raw}, _clean=False)
+        return cls.monomial(table, field, (0,) * len(table), value)
 
     @classmethod
     def var(cls, table, field, name, power=1):

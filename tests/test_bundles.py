@@ -616,6 +616,18 @@ def test_classify_constant_term_blocks_nothing():
     assert verdict.status == "trivial"
 
 
+def test_verdict_and_poly_map_are_immutable_records():
+    verdict = classify(tf_of("a^-1*b^-1*x^2"))
+    assert verdict == TrivialityVerdict("nontrivial", None, "deg P(0,0,x) = 2")
+    flat = flatten((), FIVE, QQ, ("a", "b"))
+    # Record equality reads every slot, the base variables included
+    assert flat == flatten((), FIVE, QQ, ("a", "b"))
+    assert flat != flatten((), FIVE, QQ, ("a",))
+    for obj, name in ((verdict, "status"), (flat, "jac")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+
+
 # ------------------------------------------------- hypersurface realisation
 
 

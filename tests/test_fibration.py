@@ -14,7 +14,6 @@ from a2bundle.fibration import (
     FibrationSpec,
     TransitionFunction,
     build_omega,
-    build_phi,
     build_phi_word,
     build_v,
     closed_form_m1,
@@ -83,7 +82,7 @@ def composed_by_oracle(p_str, n):
 @pytest.mark.parametrize("p_str,n", [("z^2", 1), ("z^3 + 2*z", 2)])
 def test_phi_components_against_sympy_oracle(p_str, n):
     oracle = composed_by_oracle(p_str, n)
-    flat = build_phi(spec(p_str, n))
+    flat = flatten(build_phi_word(spec(p_str, n)), CHART, QQ, base=("x",))
     for sym, name in ((SX, "x"), (SY, "y"), (SZ, "z"), (SU, "u")):
         mine = chart_to_sympy(flat.comps[name])
         assert sympy.simplify(mine - oracle[sym]) == 0, name
@@ -93,9 +92,9 @@ def test_phi_word_shape_and_roundtrip():
     s = spec("z^2", 1)
     word = build_phi_word(s)
     assert len(word) == 8
-    flat = build_phi(s)
+    flat = flatten(word, CHART, QQ, base=("x",))
     assert flat.comps["x"] == MultiPoly.var(CHART, QQ, "x")
-    assert flat.comps["y"] == build_v(s)
+    assert flat.comps["y"] == build_v(s, build_omega(s))
     assert flat.comps["z"] == build_omega(s)
     assert flatten(word + invert(word), CHART, QQ, base=("x",)).is_identity()
     # the inverse word flattens on its own as well (exact divisions inside)
@@ -108,7 +107,7 @@ def test_phi_word_shape_and_roundtrip():
 
 def test_phi_jacobian_is_one():
     for p_str, n in (("z^2", 1), ("z^2 + z", 3)):
-        flat = build_phi(spec(p_str, n))
+        flat = flatten(build_phi_word(spec(p_str, n)), CHART, QQ, base=("x",))
         assert flat.jac == MultiPoly.const(CHART, QQ, 1)
         assert flat.jacobian_det() == MultiPoly.const(CHART, QQ, 1)
 
@@ -116,9 +115,9 @@ def test_phi_jacobian_is_one():
 def test_v_and_omega_polynomial_u_image_laurent():
     s = spec("z^3 + 2*z", 2)
     ring = RingDescriptor.polynomials(CHART)
-    assert ring.contains(build_v(s))
+    assert ring.contains(build_v(s, build_omega(s)))
     assert ring.contains(build_omega(s))
-    flat = build_phi(s)
+    flat = flatten(build_phi_word(s), CHART, QQ, base=("x",))
     assert not ring.contains(flat.comps["u"])
     assert ring.allow_negative("x").contains(flat.comps["u"])
 
@@ -251,7 +250,7 @@ def test_stable_exponent_frozen_for_quadratic_n1():
     ring = RingDescriptor.polynomials(CHART_EXT)
     assert all(ring.contains(c) for c in flat.comps.values())
     assert flat.jac == MultiPoly.const(CHART_EXT, QQ, 1)
-    v = build_v(spec("z^2", 1), CHART_EXT)
+    v = build_v(spec("z^2", 1), build_omega(spec("z^2", 1), CHART_EXT))
     expected = v + parse("x^3*t", CHART_EXT, QQ)
     assert substitute(v, flat.comps) == expected
 

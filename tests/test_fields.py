@@ -248,6 +248,21 @@ def test_field_mismatch_and_arith_dispatch():
         QQ.elem(1) + F11.elem(1)
 
 
+@pytest.mark.parametrize("descriptor,other,message", [
+    ("q", F11.elem(3), "cannot coerce element of F_11 into Q"),
+    ("fp:11", QQ.elem(3), "cannot coerce element of Q into F_11"),
+    ("ext:t^2+1", EXT.elem(3), "cannot coerce element of Q[t]/(t^2-1/5) into Q[t]/(t^2+1)"),
+    ("ext:t^2+1", QQ.elem(3), "cannot coerce element of Q into Q[t]/(t^2+1)"),
+])
+def test_coerce_names_both_fields_of_a_foreign_element(descriptor, other, message):
+    F = field_from_descriptor(descriptor)
+    with pytest.raises(FieldMismatch) as err:
+        F.coerce(other)
+    assert str(err.value) == message
+    own = F.elem(Fraction(3, 2))
+    assert F.coerce(own) is own.value
+
+
 small_rats = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
 
 

@@ -31,6 +31,10 @@ No ``except`` handler of the library has a body of only ``pass``: an error
 is either handled or left to propagate, never swallowed.
 
 A fresh ``import a2bundle.cli`` loads neither ``dataclasses`` nor ``inspect``.
+
+Every class of the library that declares ``__slots__`` is an
+``errors.Record``, except ``MultiPoly``, whose term store and held pair are
+lazy views filled in after construction.
 """
 
 import ast
@@ -208,6 +212,20 @@ def test_perfbench_boundaries_are_defined(monkeypatch):
     missing += [f"{cls.__name__}.{attr}" for cls, attr in owned
                 if not callable(cls.__dict__.get(attr))]
     assert not missing, f"perfbench wraps undefined names: {', '.join(missing)}"
+
+
+def test_every_slotted_class_is_a_record():
+    from a2bundle.errors import Record
+    from a2bundle.poly import MultiPoly
+
+    slotted = [cls for path in MODULES
+               for cls in vars(importlib.import_module(f"a2bundle.{path.stem}")).values()
+               if isinstance(cls, type) and cls.__module__ == f"a2bundle.{path.stem}"
+               and "__slots__" in cls.__dict__]
+    assert len(slotted) > 10
+    loose = [cls.__qualname__ for cls in slotted
+             if cls is not MultiPoly and not issubclass(cls, Record)]
+    assert not loose, f"slotted classes outside errors.Record: {', '.join(loose)}"
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
