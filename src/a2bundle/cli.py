@@ -57,8 +57,8 @@ NINE_PAIRS = tuple((p, n)
                    for n in (1, 2, 3))
 #: default (n, m) rungs for the one-denominator ladder
 LADDER_RUNGS = ((1, 1), (2, 1), (3, 1), (1, 2), (1, 3))
-#: the largest --n, --m and --smax of any command: prop22's stock search
-#: bound; at it the slowest stock command (lemma52, P = z^2) takes 0.45 s
+#: the largest --n, --m and --smax of any command, and prop22's stock bound on
+#: s; at it the slowest stock command (lemma52, P = z^2) takes 0.45 s
 MAX_FLAG = 12
 
 def _zpoly(text, field):
@@ -237,7 +237,7 @@ def _cmd_classify(args, field) -> int:
     return _finish([b.done()], field, args, text_override=str(verdict))
 
 
-def _cmd_bivar_extend(args, field) -> int:
+def _cmd_bivar_extend(args, _) -> int:
     with open(args.cert) as fh:
         cert = cert_from_json(fh.read())
     Q = parse(args.Q, GLUE, cert.field)
@@ -253,13 +253,14 @@ def _cmd_bivar_extend(args, field) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     bound = f"at most {MAX_FLAG}"
-    common = argparse.ArgumentParser(add_help=False)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", dest="fmt", choices=("text", "json"),
+                        default="text", help="report format")
+    output.add_argument("--out", metavar="FILE",
+                        help="write the report to FILE instead of stdout")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument("--field", default="q", metavar="DESC",
                         help="coefficient field: q, fp:<p> or ext:<minpoly>")
-    common.add_argument("--format", dest="fmt", choices=("text", "json"),
-                        default="text", help="report format")
-    common.add_argument("--out", metavar="FILE",
-                        help="write the report to FILE instead of stdout")
 
     ap = argparse.ArgumentParser(
         prog="a2bundle",
@@ -285,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help=bound)
     p.add_argument("--m", type=int, default=None, help=bound)
     p.add_argument("--smax", type=int, default=None,
-                   help=f"stability-exponent search bound (prop22), {bound}")
+                   help=f"bound on the stability exponent (prop22), {bound}")
     p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("a1equiv", parents=[common],
@@ -324,9 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bivar", help="certificate operations")
     bsub = p.add_subparsers(dest="bivar_cmd", required=True)
-    p = bsub.add_parser("extend", parents=[common],
+    p = bsub.add_parser("extend", parents=[output],
                         help="graft an extension move onto a certificate "
-                             "file")
+                             "file (over the certificate's own field)")
     p.add_argument("--cert", required=True, metavar="FILE",
                    help="certificate JSON produced by this package")
     p.add_argument("--side", required=True, choices=("a", "b"))
@@ -349,8 +350,8 @@ def main(argv=None) -> int:
         for flag in ("n", "m", "smax"):
             if (getattr(args, flag, None) or 0) > MAX_FLAG:
                 raise AlgebraError(f"--{flag} must be at most {MAX_FLAG}")
-        field = field_from_descriptor(args.field)
-        return args.run(args, field)
+        return args.run(args, field_from_descriptor(args.field)
+                        if "field" in args else None)
     except (AlgebraError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -144,4 +144,4 @@ class DegreeNotOne(AlgebraError):
 
 
 class NoPolynomialSInRange(AlgebraError):
-    """Stable-variable search exhausted the exponent range."""
+    """The derived stability exponent s exceeds the bound s_max."""

@@ -111,9 +111,8 @@ def parse(text: str, table: VarTable, field: FieldSpec = QQ) -> MultiPoly:
                       NegativeExponentNotAllowed)
             s = -k if op == "/" else k  # the power the term is multiplied by
             zero = v is not None and is_zero(v)
-            if k < 0 and (many is not None or zero):
-                raise NegativePowerOfNonMonomial(
-                    f"cannot raise a {len(many or ())}-term polynomial to power {k}")
+            if k < 0 and zero:  # ``many ** k`` raises the same for a sum
+                raise NegativePowerOfNonMonomial(f"cannot raise zero to power {k}")
             if k and many is not None:
                 if k > MAX_POWER:
                     _fail(text, i - 1, f"a sum may be raised to at most the power {MAX_POWER}")

@@ -11,9 +11,9 @@ exponent ``n``.  From that data we build
 * the transition functions ``f`` that glue the two obvious trivializations
   of the induced plane bundle over the punctured (a, b)-plane, one for each
   glueing exponent ``m`` with ``m*n > deg(P)``;
-* machine checks for the identities that make all of the above true, and a
-  search for the stability exponent ``s`` making the shifted coordinate
-  ``v + x^s*t`` part of a polynomial coordinate system on 5-space.
+* machine checks for the identities that make all of the above true, and
+  the stability exponent ``s``, read off one fold, that makes the shifted
+  coordinate ``v + x^s*t`` part of a polynomial coordinate system on 5-space.
 
 The check functions return :class:`~a2bundle.report.CheckResult` objects;
 they never raise on a *failed* identity (only on malformed input), so the
@@ -25,7 +25,7 @@ from __future__ import annotations
 from .errors import NoPolynomialSInRange, PreconditionViolated, Record
 from .exprio import parse
 from .fields import QQ, FieldSpec
-from .maps import Scale, Triangular, flatten, invert
+from .maps import PolyMap, Scale, Triangular, flatten, invert
 from .poly import (
     MultiPoly,
     RingDescriptor,
@@ -376,32 +376,32 @@ def verify_small_m_shapes() -> CheckResult:
 
 
 def stable_variable(spec: FibrationSpec, s_max: int = 12):
-    """Search s = 1..s_max for the smallest exponent such that conjugating
-    the shift ``y += x^s*t`` by the coordinate word gives a *polynomial*
-    automorphism of 5-space.  The coordinate word is flattened once and
-    each candidate continues from it.  Returns ``(s, word, flat)`` with
-    ``flat`` the flattened ``word``; raises :class:`NoPolynomialSInRange`
-    when the scan is exhausted.
-    """
+    """The least s >= 1 for which conjugating ``y += x^s*t`` by the coordinate
+    word can give a polynomial map, read off the conjugate of ``y += t``:
+    every generator fixes x and t, so t -> x^s*t in every image but t's gives
+    the conjugate at s, x^i*t^j going to x^(i+s*j) with no two terms merging.
+    So s = max(1, ceil(-i/j)) over the terms with j > 0; terms no s mends are
+    left for :func:`verify_stable_variable`.  Returns ``(s, word, flat)``,
+    ``flat`` the fold of ``word``; raises NoPolynomialSInRange if s > s_max."""
     F = spec.field
-    phi_w = build_phi_word(spec, CHART_EXT)
-    phi = flatten(phi_w, CHART_EXT, F, base=("x",))
-    phi_inv = invert(phi_w)
-    ring = RingDescriptor.polynomials(CHART_EXT)
     x, *_, t = MultiPoly.gens(CHART_EXT, F)
-    for s in range(1, s_max + 1):
-        tail = (Triangular("y", x ** s * t),) + phi_inv
-        flat = flatten(tail, CHART_EXT, F, base=("x",), start=phi)
-        if all(ring.contains(c) for c in flat.comps.values()):
-            return s, phi_w + tail, flat
-    raise NoPolynomialSInRange(
-        f"no polynomial conjugate for s = 1..{s_max}")
+    phi_w = build_phi_word(spec, CHART_EXT)
+    conj = flatten(phi_w + (Triangular("y", t),) + invert(phi_w), CHART_EXT, F,
+                   base=("x",))
+    s = max([1] + [-(c.coefficient_in("t", j).min_degree_in("x") // j)
+                   for c in conj.comps.values() for j in c.exponents_in("t") if j > 0])
+    if s > s_max:
+        raise NoPolynomialSInRange(f"no polynomial conjugate for s = 1..{s_max}")
+    shift = {"t": x ** s * t}
+    comps = {n: c if n == "t" else substitute(c, shift) for n, c in conj.comps.items()}
+    return s, phi_w + (Triangular("y", shift["t"]),) + invert(phi_w), PolyMap(
+        CHART_EXT, F, ("x",), comps, substitute(conj.jac, shift))
 
 
 def verify_stable_variable(spec: FibrationSpec, s_max: int = 12) -> CheckResult:
-    """Find the stability exponent and certify the conjugated word: all five
-    components polynomial, Jacobian 1, and the second coordinate moves by
-    exactly x^s*t.  Check id: ``prop22``."""
+    """Certify the word at the s :func:`stable_variable` derives, the only
+    membership test: five polynomial components, Jacobian 1, v moving by
+    x^s*t, the inverse word folding back to the identity.  Check id: ``prop22``."""
     b = CheckBuilder("prop22", P=spec.P, n=spec.n, s_max=s_max)
     F = spec.field
     s, word, flat = stable_variable(spec, s_max)

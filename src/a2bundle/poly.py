@@ -458,8 +458,8 @@ class MultiPoly:
             return MultiPoly(self.table, self.field, {tuple([n * x for x in e]): c},
                              _clean=False)
         if n < 0:
-            raise NegativePowerOfNonMonomial(
-                f"cannot raise a {len(self)}-term polynomial to power {n}")
+            what = f"a {len(self)}-term polynomial" if self else "zero"
+            raise NegativePowerOfNonMonomial(f"cannot raise {what} to power {n}")
         return _power(MultiPoly.__mul__, self, n)
 
     def scale(self, value):

@@ -424,6 +424,18 @@ def test_non_ascii_expression_is_usage_error(capsys, text, ch):
     assert f"unexpected character {ch!r}" in err and "position" in err
 
 
+def test_bivar_extend_takes_no_field(tmp_path, capsys):
+    # the certificate names its own field; a --field beside it is a usage
+    # error, not a flag that is silently ignored
+    src = tmp_path / "c.json"
+    src.write_text(cert_to_json(basic_bivariable(1, 1)))
+    code, out, err = run(capsys, "bivar", "extend", "--cert", str(src),
+                         "--side", "a", "--m", "1", "--n", "1", "--Q", "x",
+                         "--field", "fp:11")
+    assert code == 2
+    assert out == "" and "--field" in err
+
+
 def test_bivar_extend_missing_file(capsys):
     code, _, err = run(capsys, "bivar", "extend", "--cert", "/nonexistent",
                        "--side", "a", "--m", "1", "--n", "1", "--Q", "x")

@@ -4,7 +4,7 @@ import pytest
 import sympy
 
 from a2bundle.errors import NoPolynomialSInRange, PreconditionViolated
-from a2bundle.exprio import parse, to_expr
+from a2bundle.exprio import field_from_descriptor, parse, to_expr
 from a2bundle.fields import QQ
 from a2bundle.fibration import (
     CHART,
@@ -29,7 +29,7 @@ from a2bundle.fibration import (
     verify_stable_variable,
 )
 from a2bundle import fibration
-from a2bundle.maps import Triangular, flatten, invert
+from a2bundle.maps import Scale, Triangular, flatten, invert
 from a2bundle.poly import MultiPoly, RingDescriptor, VarTable, substitute
 
 
@@ -255,6 +255,39 @@ def test_stable_exponent_frozen_for_quadratic_n1():
     assert substitute(v, flat.comps) == expected
 
 
+def scan_stable_variable(sp, s_max=12):
+    """Reference: the search that the derivation replaced.  It tries s = 1,
+    2, ... in turn, continuing the folded coordinate word with ``y += x^s*t``
+    and the inverse word, until every component is polynomial."""
+    F = sp.field
+    phi_w = build_phi_word(sp, CHART_EXT)
+    phi = flatten(phi_w, CHART_EXT, F, base=("x",))
+    ring = RingDescriptor.polynomials(CHART_EXT)
+    x, *_, t = MultiPoly.gens(CHART_EXT, F)
+    for s in range(1, s_max + 1):
+        tail = (Triangular("y", x ** s * t),) + invert(phi_w)
+        flat = flatten(tail, CHART_EXT, F, base=("x",), start=phi)
+        if all(ring.contains(c) for c in flat.comps.values()):
+            return s, phi_w + tail, flat
+    raise NoPolynomialSInRange(f"no polynomial conjugate for s = 1..{s_max}")
+
+
+@pytest.mark.parametrize("desc", ["q", "fp:11", "ext:t^2+1"])
+@pytest.mark.parametrize("p_str", ["z^2", "z^2 + z", "z^3 + 2*z", "z^4"])
+def test_derived_stable_exponent_matches_scan(desc, p_str):
+    field = field_from_descriptor(desc)
+    for n in (1, 2, 3):
+        sp = FibrationSpec(parse(p_str, PVAR, field), n)
+        s, word, flat = stable_variable(sp)
+        assert (s, word, flat) == scan_stable_variable(sp)
+        # the bound is exact: s_max = s - 1 raises, s_max = s passes
+        for find in (stable_variable, scan_stable_variable):
+            with pytest.raises(NoPolynomialSInRange,
+                               match=rf"s = 1\.\.{s - 1}$"):
+                find(sp, s_max=s - 1)
+        assert stable_variable(sp, s_max=s) == (s, word, flat)
+
+
 def test_stable_exponent_scan_is_minimal():
     # exponents below the found one do not give polynomial conjugates
     with pytest.raises(NoPolynomialSInRange):
@@ -262,8 +295,6 @@ def test_stable_exponent_scan_is_minimal():
 
 
 def test_stable_variable_flattens_phi_once(monkeypatch):
-    sp = spec("z^2", 1)
-    phi_w = build_phi_word(sp, CHART_EXT)
     words = []
 
     def recording(word, *args, **kwargs):
@@ -271,10 +302,14 @@ def test_stable_variable_flattens_phi_once(monkeypatch):
         return flatten(word, *args, **kwargs)
 
     monkeypatch.setattr(fibration, "flatten", recording)
-    s, word, _ = stable_variable(sp)
-    assert words.count(phi_w) == 1
-    # every candidate continues from phi: one shift plus the inverse word
-    assert sum(map(len, words)) == len(phi_w) + s * (1 + len(phi_w))
+    # one fold of phi, y += t and the inverse word, whatever s turns out
+    for sp, want_s in ((spec("z^2", 1), 3), (spec("z^4", 2), 5)):
+        words.clear()
+        s, _, _ = stable_variable(sp)
+        phi_w = build_phi_word(sp, CHART_EXT)
+        assert s == want_s
+        assert [len(w) for w in words] == [2 * len(phi_w) + 1]
+        assert words[0][:len(phi_w)] == phi_w
 
 
 def test_stable_variable_check():
@@ -302,3 +337,20 @@ def test_stable_variable_check_records_non_polynomial_conjugate(monkeypatch):
     assert r.status == "fail"
     assert r.residuals["components-polynomial"] == "; ".join(
         f"{name} = {c}" for name, c in bad)
+
+
+def test_stable_variable_records_a_conjugate_no_s_mends(monkeypatch):
+    # with y^-1 in the word, the conjugate of y += t has the term z*t*y^-1;
+    # no power of x clears it, so prop22 reports a fail instead of raising
+    sp = spec("z^2", 1)
+    y = MultiPoly.var(CHART_EXT, QQ, "y")
+    monkeypatch.setattr(fibration, "build_phi_word",
+                        lambda spec, table: (Scale("z", y ** -1),))
+    s, _, flat = stable_variable(sp)
+    assert s == 1
+    assert flat.comps["z"] == parse("z", CHART_EXT, QQ) + parse(
+        "x*z*t", CHART_EXT, QQ) * y ** -1
+    r = verify_stable_variable(sp)
+    assert r.status == "fail"
+    assert r.residuals["components-polynomial"].startswith("z = ")
+

@@ -11,6 +11,7 @@ from a2bundle.errors import (
     AlgebraError,
     ExprSyntaxError,
     NegativeExponentNotAllowed,
+    NegativePowerOfNonMonomial,
     UnknownVariable,
 )
 from a2bundle.exprio import parse
@@ -266,6 +267,16 @@ def test_power_of_a_sum_bound(monkeypatch):
     with pytest.raises(ExprSyntaxError, match="at most the power 3") as exc:
         parse("x*(a + b)^4", TAB)
     assert exc.value.position == 10
+
+
+@pytest.mark.parametrize("text, field, what", [
+    ("0^-1", QQ, "zero"), ("11^-1", PrimeField(11), "zero"),
+    ("(z - z)^-1", QQ, "zero"), ("(z + 1)^-2", QQ, "a 2-term polynomial")])
+def test_negative_power_names_its_base(text, field, what):
+    with pytest.raises(NegativePowerOfNonMonomial) as exc:
+        parse(text, VarTable(("z",)), field)
+    assert str(exc.value) == f"cannot raise {what} to power {text[-2:]}"
+    assert getattr(exc.value, "position", None) is None
 
 
 def test_default_limits_admit_common_inputs():

@@ -352,6 +352,15 @@ def test_monomial_power_scales_exponents(monkeypatch, field):
     assert calls == []
 
 
+def test_negative_power_of_zero_names_zero():
+    with pytest.raises(NegativePowerOfNonMonomial,
+                       match=r"^cannot raise zero to power -2$"):
+        MultiPoly.zero(T2, QQ) ** -2
+    with pytest.raises(NegativePowerOfNonMonomial,
+                       match=r"^cannot raise a 2-term polynomial to power -1$"):
+        (MultiPoly.var(T2, QQ, "x") + 1) ** -1
+
+
 def test_pow_negative_monomial():
     m = MultiPoly.monomial(T3, QQ, (2, -1, 0), Fraction(3, 2))
     inv = m ** -1
