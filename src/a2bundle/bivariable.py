@@ -14,8 +14,11 @@ Composing one system with the inverse of the other fixes ``x`` and shifts
 ``y`` by a function of ``x`` alone; that shift, rewritten over the
 three-variable base table, is the glueing function of a plane bundle over
 the punctured base plane.  :func:`certify` derives all of this and keeps
-both chart maps; a builder continues its parent's maps with the new moves,
-while a loaded document is re-derived from its words alone.
+both chart maps; a builder continues its parent's maps with the new moves.
+A loaded document folds its two words again, but its stored glueing
+function is checked rather than derived: ``omega`` is not constant in
+``(x, y)``, so ``tau_a - tau_b == f(omega)`` holds for one ``f`` at most,
+and a degree guard rejects a wrong ``f`` before ``f(omega)`` is formed.
 
 Besides the basic families (monomial denominators, monomial denominators
 with a base-constant shift), the module implements the two extension moves
@@ -130,7 +133,7 @@ def _normalise_jacobian(word, flat, chart_var, side):
     return word + scale, flat
 
 
-def certify(omega: MultiPoly, alpha_word, beta_word, parent=None
+def certify(omega: MultiPoly, alpha_word, beta_word, parent=None, f=None
             ) -> BivariableCert:
     """Validate a pair of chart words for ``omega`` and extract the glueing.
 
@@ -141,13 +144,20 @@ def certify(omega: MultiPoly, alpha_word, beta_word, parent=None
     ``x``-images and the last check prove ``alpha o beta^{-1} = (x, y +
     f(x))`` in every characteristic, with no Jacobian argument:
     ``alpha(beta^{-1}(p)) = (omega, tau_b + f(omega))(beta^{-1}(p)) = (p_x,
-    p_y + f(p_x))``.  So the composite word only has to find ``f``: folded
-    from the map sending ``y`` to 0, its ``y``-image is ``f``.  A ``parent``
-    whose words start both words seeds both folds with its maps, and the
-    composite folds ``invert(beta_new) + (y += f_parent) + alpha_new``: the
-    parent proved ``alpha_p o beta_p^{-1} = (x, y + f_parent(x))`` and
-    :func:`flatten` is compositional, so only the new moves are replayed and
-    every check above runs on the continued maps.  Raises
+    p_y + f(p_x))``.  The proof does not ask where ``f`` came from, and
+    ``omega`` is not constant in ``(x, y)`` (its Jacobian is 1), so
+    ``f(omega)`` determines ``f``: a given ``f`` (over ``PLANE``, as a
+    loaded document stores it) is checked, never derived again.  Without
+    one, the composite word finds ``f``: folded from the map sending ``y``
+    to 0, its ``y``-image is ``f``.  A ``parent`` whose words start both
+    words seeds both folds with its maps, and the composite folds
+    ``invert(beta_new) + (y += f_parent) + alpha_new``: the parent proved
+    ``alpha_p o beta_p^{-1} = (x, y + f_parent(x))`` and :func:`flatten` is
+    compositional, so only the new moves are replayed and every check above
+    runs on the continued maps.  Before ``f(omega)`` is formed,
+    ``deg_v(tau_a - tau_b) == deg_x(f) * deg_v(omega)`` must hold for ``v``
+    in ``x, y``: leading coefficients multiply in an integral domain, so the
+    identity implies it, and it bounds the work a given ``f`` asks for.  Raises
     :class:`JacobianNotUnit`, :class:`ShapeError` or :class:`MembershipError`;
     returns the certificate with ``f`` and both chart maps.
     """
@@ -179,23 +189,25 @@ def certify(omega: MultiPoly, alpha_word, beta_word, parent=None
     check_membership(flat_a, RING_A)
     check_membership(flat_b, RING_B)
 
-    on_line = dict(zip(GLUE.names, MultiPoly.gens(GLUE, F)))
-    on_line["y"] = MultiPoly.zero(GLUE, F)
-    start = PolyMap(GLUE, F, BASE, on_line, MultiPoly.zero(GLUE, F))
-    middle = (Triangular("y", to_glue(parent.f.f)),) if parent else ()
-    shift = flatten(invert(beta_word[nb:]) + middle + alpha_word[na:],
-                    GLUE, F, BASE, start=start).comps["y"]
-    if shift and shift.min_degree_in("x") < 0:
-        raise ShapeError(f"chart change shift {shift} inverts x")
+    if f is None:
+        on_line = dict(zip(GLUE.names, MultiPoly.gens(GLUE, F)))
+        on_line["y"] = MultiPoly.zero(GLUE, F)
+        start = PolyMap(GLUE, F, BASE, on_line, MultiPoly.zero(GLUE, F))
+        middle = (Triangular("y", to_glue(parent.f.f)),) if parent else ()
+        shift = flatten(invert(beta_word[nb:]) + middle + alpha_word[na:],
+                        GLUE, F, BASE, start=start).comps["y"]
+        f = substitute(shift, {}, into=PLANE)
+    if f and f.min_degree_in("x") < 0:
+        raise ShapeError(f"glueing function {f} inverts x")
 
-    f_plane = substitute(shift, {}, into=PLANE)
-    tf = TransitionFunction.from_poly(f_plane)
-    glued = substitute(f_plane, {"x": omega}, into=GLUE)
-    if flat_a.comps["y"] - flat_b.comps["y"] - glued:
+    diff = flat_a.comps["y"] - flat_b.comps["y"]
+    if any(diff.degree_in(v) != (f.degree_in("x") * omega.degree_in(v) if f else None)
+           for v in ("x", "y")) or diff - substitute(f, {"x": omega}, into=GLUE):
         raise ShapeError(
-            "second coordinates do not differ by f(omega); words are "
-            "inconsistent")
-    return BivariableCert(omega, alpha_word, beta_word, tf, flat_a, flat_b)
+            f"second coordinates do not differ by f(omega): f = {f} "
+            "disagrees with the words")
+    return BivariableCert(omega, alpha_word, beta_word,
+                          TransitionFunction.from_poly(f), flat_a, flat_b)
 
 
 # ------------------------------------------------------------ basic families
@@ -447,8 +459,9 @@ def _gen_to_doc(gen) -> dict:
 
 def _slot(doc, key: str, kind: type = str):
     """``doc[key]``; a :class:`ShapeError` names the key unless ``doc`` is an
-    object holding a ``kind`` there."""
-    if not (isinstance(doc, dict) and key in doc and isinstance(doc[key], kind)):
+    object holding a ``kind`` there, never a bool (JSON ``true`` is no int)."""
+    if not (isinstance(doc, dict) and key in doc and isinstance(doc[key], kind)
+            and type(doc[key]) is not bool):
         raise ShapeError(f"expected a certificate object holding {kind.__name__} at {key!r}")
     return doc[key]
 
@@ -460,10 +473,11 @@ def _gen_from_doc(doc: dict, field: FieldSpec):
         raise ShapeError(f"unknown generator kind {kind!r}")
     args = []
     for name in cls.__slots__:
-        v = _slot(doc, name, object if name in ("m", "mapping") else str)
-        if name == "m":
-            v = int(v)
-        elif name != "mapping" and not name.startswith("var"):
+        v = _slot(doc, name, {"m": int, "mapping": dict}.get(name, str))
+        if name == "mapping":
+            if not all(k in GLUE.names and w in GLUE.names for k, w in v.items()):
+                raise ShapeError("expected a certificate object holding variable names at 'mapping'")
+        elif name != "m" and not name.startswith("var"):
             v = parse(v, GLUE, field)  # the remaining slots hold expressions
         args.append(v)
     return cls(*args)
@@ -481,20 +495,16 @@ def cert_to_doc(cert: BivariableCert) -> dict:
 
 
 def cert_from_doc(doc: dict) -> BivariableCert:
-    """Rebuild and *re-certify* a certificate; the stored glueing function
-    is cross-checked against the recomputed one. A document of another shape
+    """Rebuild and *re-certify* a certificate: each word is folded again and
+    the stored glueing function is checked by :func:`certify`, by its degree
+    and then by ``tau_a - tau_b == f(omega)``, never derived a second time;
+    a wrong ``f`` raises :class:`ShapeError`. A document of another shape
     raises :class:`ShapeError` naming the slot, before anything is parsed."""
     field, omega, alpha, beta, f = (_slot(doc, k, list if k.endswith("word") else str)
                                     for k in ("field", "omega", "alpha_word", "beta_word", "f"))
     F = field_from_descriptor(field)
-    omega = parse(omega, GLUE, F)
-    alpha = tuple(_gen_from_doc(d, F) for d in alpha)
-    beta = tuple(_gen_from_doc(d, F) for d in beta)
-    cert = certify(omega, alpha, beta)
-    if parse(f, PLANE, F) != cert.f.f:
-        raise ShapeError(
-            f"stored glueing function {f} disagrees with the recomputed {cert.f.f}")
-    return cert
+    return certify(parse(omega, GLUE, F), (_gen_from_doc(d, F) for d in alpha),
+                   (_gen_from_doc(d, F) for d in beta), f=parse(f, PLANE, F))
 
 
 def cert_to_json(cert: BivariableCert) -> str:

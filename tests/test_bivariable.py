@@ -36,6 +36,7 @@ from a2bundle.errors import (
     CongruenceFailed,
     JacobianNotUnit,
     MembershipError,
+    NegativeExponentNotAllowed,
     PreconditionViolated,
     ShapeError,
 )
@@ -450,6 +451,85 @@ def test_cert_doc_tamper_detected():
         cert_from_doc(doc)
 
 
+def _block_cert(F=QQ):
+    return extend_b(basic_bivariable(1, 1, field=F), 1, 1, gpoly("x^2", F))
+
+
+def test_cert_doc_checks_zero_and_wrong_degree_f():
+    # a certificate whose charts agree has f = 0, and only f = 0 passes
+    x = gpoly("x")
+    flat = certify(x, (), ())
+    assert not flat.f.f
+    for stored, ok in (("0", True), ("x", False), ("a^-1", False)):
+        doc = cert_to_doc(flat)
+        doc["f"] = stored
+        if ok:
+            assert cert_from_doc(doc) == flat
+        else:
+            with pytest.raises(ShapeError, match="disagrees"):
+                cert_from_doc(doc)
+    # and a certificate with f != 0 rejects f = 0 and every other degree
+    cert = _block_cert()
+    for stored in ("0", "x^2*a^-1*b^-1", "a^-1*b^-1", "x*a^-1*b^-1 + x^3"):
+        doc = cert_to_doc(cert)
+        doc["f"] = stored
+        with pytest.raises(ShapeError, match="disagrees"):
+            cert_from_doc(doc)
+
+
+def test_cert_doc_rejects_f_that_inverts_x():
+    cert = _block_cert()
+    doc = cert_to_doc(cert)
+    doc["f"] = "x^-1"
+    with pytest.raises(NegativeExponentNotAllowed):
+        cert_from_doc(doc)
+    bad = MultiPoly(PLANE, QQ, {(0, 0, -1): QQ.coerce(1)})
+    with pytest.raises(ShapeError, match="inverts x"):
+        certify(cert.omega, cert.alpha_word, cert.beta_word, f=bad)
+
+
+@pytest.mark.parametrize("side", ["alpha_word", "beta_word"])
+def test_cert_doc_with_deleted_generator_does_not_certify(side):
+    doc = cert_to_doc(_block_cert())
+    for i in range(len(doc[side])):
+        cut = json.loads(json.dumps(doc))
+        del cut[side][i]
+        with pytest.raises(ShapeError):
+            cert_from_doc(cut)
+
+
+def test_cert_doc_read_folds_each_word_once(monkeypatch):
+    # a read checks the stored f: two folds, and the composite is never built
+    doc = cert_to_doc(extend_a(_block_cert(), 1, 1, gpoly("x")))
+    calls = {"flatten": 0, "invert": 0}
+    for name in calls:
+        real = getattr(bivariable, name)
+
+        def counted(*args, _real=real, _name=name, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(bivariable, name, counted)
+    cert_from_doc(doc)
+    assert calls == {"flatten": 2, "invert": 0}
+
+
+def test_cert_doc_degree_guard_runs_before_substitution(monkeypatch):
+    seen = []
+    real = bivariable.substitute
+
+    def recorded(p, *args, **kw):
+        seen.append(p)
+        return real(p, *args, **kw)
+
+    monkeypatch.setattr(bivariable, "substitute", recorded)
+    doc = cert_to_doc(_block_cert())
+    doc["f"] = "x^100"
+    with pytest.raises(ShapeError, match="disagrees"):
+        cert_from_doc(doc)
+    assert ppoly("x^100") not in seen
+
+
 def test_cert_doc_generator_fields_and_unknown_kinds():
     # basic_bivariable uses triangular, scale and permute; extend_b adds a block
     doc = cert_to_doc(extend_b(basic_bivariable(1, 1), 1, 1, gpoly("x^2")))
@@ -643,6 +723,36 @@ def test_continued_certificates_match_parent_free_certify(
         for new, old in ((fresh.flat_a, cert.flat_a), (fresh.flat_b, cert.flat_b)):
             assert new.comps == old.comps
             assert new.jac == old.jac
+
+
+@pytest.mark.parametrize("descriptor", ["q", "fp:11", "ext:t^2+1"])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(start=st.sampled_from(["basic", "constant"]), m=st.integers(1, 2),
+       n=st.integers(1, 2), c=st.sampled_from(["a", "1 + a*b", "b^2"]),
+       moves=chain_moves,
+       term=st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 3),
+                      st.integers(1, 5)))
+def test_reloaded_certificates_match_derived_and_reject_tampered_f(
+        descriptor, start, m, n, c, moves, term):
+    # a reload checks the stored f instead of deriving it; certify without
+    # an f derives it from the composite word, and is the oracle
+    F = field_from_descriptor(descriptor)
+    cert = _chain_start(F, start, m, n, c)
+    for side, c0, c1, unit in moves:
+        payload = gpoly(f"({c0} + ({c1})*x)*{unit}", F)
+        move = extend_a if side == "a" else extend_b
+        cert = move(cert, max(1, cert.f.m_min), max(1, cert.f.n_min), payload)
+    doc = cert_to_doc(cert)
+    back = cert_from_doc(doc)
+    derived = certify(back.omega, back.alpha_word, back.beta_word)
+    assert (back.omega, back.f) == (derived.omega, derived.f) == (cert.omega, cert.f)
+    assert (back.alpha_word, back.beta_word) == (derived.alpha_word, derived.beta_word)
+    for new, old in ((back.flat_a, derived.flat_a), (back.flat_b, derived.flat_b)):
+        assert (new.comps, new.jac) == (old.comps, old.jac)
+    i, j, k, coeff = term
+    doc["f"] = to_expr(cert.f.f + ppoly(f"{coeff}*a^{i}*b^{j}*x^{k}", F))
+    with pytest.raises(ShapeError, match="disagrees"):
+        cert_from_doc(doc)
 
 
 glue_polys = st.dictionaries(

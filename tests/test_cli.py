@@ -6,6 +6,7 @@ import pytest
 
 from a2bundle import bundles, cli, errors, report
 from a2bundle.bivariable import (
+    GLUE,
     basic_bivariable,
     cert_from_json,
     cert_to_json,
@@ -415,6 +416,37 @@ def test_bivar_extend_rejects_malformed_certificate(tmp_path, capsys, doc, key):
                        "--side", "a", "--m", "1", "--n", "1", "--Q", "x")
     assert code == 2
     assert err.startswith("error: expected a certificate object") and repr(key) in err
+
+
+def _set_slot(kind, slot, value):
+    def tamper(doc):
+        next(g for g in doc["alpha_word"] + doc["beta_word"]
+             if g["kind"] == kind)[slot] = value
+    return tamper
+
+
+@pytest.mark.parametrize("tamper, needle", [
+    (_set_slot("block", "m", [1]), "'m'"),
+    (_set_slot("block", "m", 1.7), "'m'"),
+    (_set_slot("block", "m", True), "'m'"),
+    (_set_slot("permute", "mapping", 5), "'mapping'"),
+    (_set_slot("permute", "mapping", {"x": "q", "q": "x"}), "'mapping'"),
+    (_set_slot("permute", "mapping", {"x": ["y"], "y": "x"}), "'mapping'"),
+    (lambda doc: doc.update(f="x^2*a^-1*b^-1"), "disagrees"),
+    (lambda doc: doc.update(f="x^100"), "disagrees"),
+])
+def test_bivar_extend_rejects_malformed_slot(tmp_path, capsys, tamper, needle):
+    # every malformed slot and every wrong glueing function is one usage
+    # error line, never a traceback
+    doc = json.loads(cert_to_json(extend_b(basic_bivariable(1, 1), 1, 1,
+                                           parse("x^2", GLUE, QQ))))
+    tamper(doc)
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "bivar", "extend", "--cert", str(src),
+                         "--side", "a", "--m", "1", "--n", "1", "--Q", "x")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
 
 
 @pytest.mark.parametrize("text, ch", [("z^²", "²"), ("٣*z^2", "٣")])
