@@ -13,6 +13,7 @@ bundle (see :mod:`.fibration`) and the certificates of :mod:`.bivariable`:
 * :func:`prop45_search` looks for such a ``Q`` in a pool of coefficients:
   one affine test settles the first two powers of ``a`` for every
   candidate, and lifting through the higher powers runs on the survivors;
+  both decide each congruence by :func:`~a2bundle.poly.residual_mod`;
 * :func:`classify` applies the known triviality/nontriviality criteria,
   never answering "trivial" without a re-verified witness;
 * :func:`hypersurface_embed` realises a bundle inside the affine
@@ -43,6 +44,7 @@ from .bivariable import (
     to_glue,
 )
 from .errors import (
+    CongruenceFailed,
     DegreeNotOne,
     PreconditionViolated,
     Record,
@@ -70,6 +72,7 @@ from .poly import (
     RingDescriptor,
     VarTable,
     split_negative_parts,
+    residual_mod,
     substitute,
     truncate_var,
 )
@@ -131,18 +134,6 @@ def _chart_b_univariate(p: MultiPoly, what: str) -> None:
         raise PreconditionViolated(f"{what} must not invert x")
 
 
-def _residual(f_b: MultiPoly, g_b: MultiPoly, moved: MultiPoly, k: int) -> MultiPoly:
-    """``g_b(moved) - f_b`` with every term of ``a``-degree ``k`` or more
-    dropped; it vanishes iff the congruence holds mod ``a^k``.  Horner's rule
-    truncates the ``a``-adic tail at every step, which is exact because no
-    input inverts ``a``."""
-    moved = truncate_var(moved, "a", k)
-    acc = MultiPoly.zero(PLANE, f_b.field)
-    for i in range(g_b.degree_in("x") or 0, -1, -1):
-        acc = truncate_var(acc * moved + g_b.coefficient_in("x", i), "a", k)
-    return truncate_var(acc - f_b, "a", k)
-
-
 def prop45_check(f_b: MultiPoly, g_b: MultiPoly, m: int, Q: MultiPoly,
                  check_id: str = "prop45") -> CheckResult:
     """Certified congruence move between denominator-``a^m`` bundles.
@@ -168,15 +159,16 @@ def prop45_check(f_b: MultiPoly, g_b: MultiPoly, m: int, Q: MultiPoly,
     F = f_b.field
     b = CheckBuilder(check_id, f_b=f_b, g_b=g_b, m=m, Q=Q,
                      field=F.descriptor())
-    a, _, x = MultiPoly.gens(PLANE, F)
-    moved = x + a * substitute(Q, {"x": f_b})
-    r = _residual(f_b, g_b, moved, m)
-    if not b.expect("congruence-mod-a^m", not r, detail=lambda: str(r)):
-        return b.done()
-
     qg, fg, gg = to_glue(Q), to_glue(f_b), to_glue(g_b)
     ag, _, _, yg = MultiPoly.gens(GLUE, F)
-    block = Lemma41Block("x", "y", ag, m, qg, fg, gg)
+    r = None
+    try:
+        block = Lemma41Block("x", "y", ag, m, qg, fg, gg)
+    except CongruenceFailed as exc:
+        r = exc.residual
+    if not b.expect("congruence-mod-a^m", r is None, detail=lambda: str(r)):
+        return b.done()
+
     pull_out = Triangular("x", -(ag * substitute(qg, {"x": ag ** m * yg})))
     am_inv = ag ** -m
 
@@ -192,7 +184,8 @@ def prop45_check(f_b: MultiPoly, g_b: MultiPoly, m: int, Q: MultiPoly,
              detail=lambda: f"x -> {blk.comps['x']}; y -> {blk.comps['y']}")
     one = MultiPoly.const(GLUE, F, 1)
     b.expect_zero("block-jacobian-minus-1", blk.jac - one)
-    b.witness(pull_out=pull_out, block=block, moved_variable=moved)
+    b.witness(pull_out=pull_out, block=block,  # x's image on y = 0 is x + a*Q(f_b(x))
+              moved_variable=blk.comps["x"].set_vars_to_zero(("y",)))
     return b.done()
 
 
@@ -229,16 +222,17 @@ def prop45_search(f_b: MultiPoly, g_b: MultiPoly, m: int, deg_bound: int,
 
     # g_b(x + a*h) == g_b(x) + a*h*g_b'(x) mod a^2: affine in Q's coefficients
     k0 = min(m, 2)
-    r0 = _residual(f_b, g_b, x, k0)
+    r0 = residual_mod(f_b, g_b, "x", x, {"a": k0})
     grown = [(MultiPoly.zero(PLANE, F), r0)]
     for i in range(deg_bound + 1):
-        col = _residual(f_b, g_b, x + a * f_b ** i, k0) - r0
+        col = residual_mod(f_b, g_b, "x", x + a * f_b ** i, {"a": k0}) - r0
         steps = [((x ** i).scale(c), col.scale(c)) for c in coeffs]
         grown = [(q + dq, r + dr) for q, r in grown for dq, dr in steps]
     survivors = [q for q, r in grown if not r]
     for k in range(3, m):
         survivors = [q for q in survivors
-                     if not _residual(f_b, g_b, x + a * substitute(q, {"x": f_b}), k)]
+                     if not residual_mod(f_b, g_b, "x", x + a * substitute(q, {"x": f_b}),
+                                         {"a": k})]
     for q in survivors:
         if prop45_check(f_b, g_b, m, q).ok:
             return q
@@ -399,7 +393,7 @@ def lemma62_variable(P: MultiPoly, m: int, n: int):
             Scale("x", MultiPoly.const(FIVE, F, F.neg(F.inv(xi)))))
     q1 = substitute(eqn, flatten(norm, FIVE, F, BASE).comps)
     tail = q1 - x5 - a5 ** m * u5 + b5 ** n * v5
-    part_b = truncate_var(tail, "a", 1)
+    part_b = truncate_var(tail, {"a": 1})
     part_a = tail - part_b
     if part_b and part_b.min_degree_in("b") < 1:
         raise ShapeError(f"normalised tail {tail} has a bare constant")

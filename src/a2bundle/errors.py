@@ -46,7 +46,12 @@ class Record:
 
 
 class AlgebraError(Exception):
-    """Base class for all structured errors raised by this package."""
+    """Base class for all structured errors raised by this package; keyword
+    details, such as a failed congruence's residual, become attributes."""
+
+    def __init__(self, *args, **details):
+        super().__init__(*args)
+        self.__dict__.update(details)
 
 
 class FieldMismatch(AlgebraError):
@@ -108,7 +113,9 @@ class InvalidGenerator(AlgebraError):
 
 
 class CongruenceFailed(AlgebraError):
-    """A required congruence (mod a^m style) does not hold."""
+    """A required congruence (mod a^m style) fails; a block sets ``residual`` to what is left."""
+
+    residual = None
 
 
 class JacobianNotUnit(AlgebraError):
@@ -120,10 +127,7 @@ class MembershipError(AlgebraError):
     """A map component lies outside the required ring; carries the component
     name and one offending term."""
 
-    def __init__(self, message, component=None, term=None):
-        super().__init__(message)
-        self.component = component
-        self.term = term
+    component = term = None
 
 
 class ShapeError(AlgebraError):

@@ -29,9 +29,10 @@ Generators:
 
   which keeps coefficients free of negative powers of ``A`` exactly when
   ``f(x) - g(x_new)`` is divisible by ``A^m`` in the non-inverted sense
-  (every term carries exponents >= those of ``A^m``); that congruence is
-  re-checked on construction.  The inverse block swaps ``f`` and ``g`` and
-  negates ``Q``.
+  (every term carries exponents >= those of ``A^m``).  Construction checks
+  that congruence y-free and truncated mod ``A^m``, never expanding ``g``,
+  so none of ``A, Q, f, g`` may invert a variable of ``A``.  The inverse
+  block swaps ``f`` and ``g`` and negates ``Q``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import (
     MembershipError,
     Record,
 )
-from .poly import MultiPoly, RingDescriptor, VarTable, divide_exact, substitute
+from .poly import MultiPoly, RingDescriptor, VarTable, divide_exact, residual_mod, substitute
 
 
 # ---------------------------------------------------------------- generators
@@ -145,7 +146,7 @@ class Permute(Record):
         return -1 if inversions % 2 else 1
 
     def apply(self, state: dict):
-        state.update({new: state[old] for new, old in self.mapping})
+        state.update({new: state[old] for new, old in self.mapping if new != old})
         return self.sign(), 1
 
     def __str__(self):
@@ -158,7 +159,10 @@ class Lemma41Block(Record):
 
     ``q``, ``f`` and ``g`` are univariate polynomials written in ``var_x``
     (with coefficients allowed to involve any variable other than ``var_x``
-    and ``var_y``); ``scalar`` is the base element ``A``.
+    and ``var_y``); ``scalar`` is the base element ``A``.  None of them may
+    invert a variable of ``A`` (:class:`InvalidGenerator`), so mod ``A^m`` the
+    ``A^m*y`` drops out: construction decides ``g(x + A*Q(f(x))) == f(x)`` by
+    :func:`residual_mod` and raises :class:`CongruenceFailed` with its residual.
     """
 
     __slots__ = ("var_x", "var_y", "scalar", "m", "q", "f", "g")
@@ -175,31 +179,22 @@ class Lemma41Block(Record):
             raise InvalidGenerator("block exponent m must be >= 0")
         if not self.scalar.is_monomial():
             raise InvalidGenerator("block scalar must be a single nonzero term")
+        bounds = {n: self.m * e for n, e in zip(table.names, self.scalar.leading_term()[0]) if e}
         for name, p in (("scalar", self.scalar), ("q", self.q),
                         ("f", self.f), ("g", self.g)):
             if p.involves(self.var_y):
                 raise InvalidGenerator(f"block {name} involves {self.var_y!r}")
+            if any(p and p.min_degree_in(n) < 0 for n in bounds):
+                raise InvalidGenerator(f"block {name} inverts a variable of {self.scalar}")
         if self.scalar.involves(self.var_x):
             raise InvalidGenerator(f"block scalar involves {self.var_x!r}")
-        self._check_congruence()
-
-    def _check_congruence(self):
-        """f(x) == g(x + A*Q(A^m*y + f(x))) mod A^m, re-checked on build.
-
-        "mod A^m" is meant without inverting A: every term of the difference
-        must dominate the exponent vector of A^m componentwise.
-        """
-        table, field = self.scalar.table, self.scalar.field
-        x = MultiPoly.var(table, field, self.var_x)
-        y = MultiPoly.var(table, field, self.var_y)
-        t = self.scalar ** self.m * y + self.f
-        v = x + self.scalar * substitute(self.q, {self.var_x: t})
-        quot = (t - substitute(self.g, {self.var_x: v})) * self.scalar ** -self.m
-        for name in table.names:
-            if self.scalar.involves(name) and (quot.min_degree_in(name) or 0) < 0:
-                raise CongruenceFailed(
-                    f"block congruence fails: f(x) - g(x_new) is not "
-                    f"divisible by ({self.scalar})^{self.m}")
+        moved = (MultiPoly.var(table, self.scalar.field, self.var_x)
+                 + self.scalar * substitute(self.q, {self.var_x: self.f}))
+        residual = residual_mod(self.f, self.g, self.var_x, moved, bounds)
+        if residual:
+            raise CongruenceFailed(
+                f"block congruence fails: f(x) - g(x_new) is not "
+                f"divisible by ({self.scalar})^{self.m}", residual=residual)
 
     def inverse(self) -> "Lemma41Block":
         return Lemma41Block(self.var_x, self.var_y, self.scalar, self.m,
@@ -294,10 +289,10 @@ def flatten(word, table: VarTable, field, base=(), start=None) -> PolyMap:
     base = tuple(base)
     for gen in word:
         moved = _moved_names(gen)
-        hit = [n for n in moved if n in base]
+        hit = [n for n in moved if n in base or n not in table]
         if hit:
             raise InvalidGenerator(
-                f"generator {gen} moves base variable(s) {hit}")
+                f"generator {gen} moves base or unknown variable(s) {hit}")
         num, den = gen.apply(state)
         if num != 1:
             jac = jac * num

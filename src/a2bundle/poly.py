@@ -848,14 +848,26 @@ def divide_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
     return MultiPoly(num.table, f, quot, _clean=False).shift_exponents(shift)
 
 
-def truncate_var(f: MultiPoly, name: str, k: int) -> MultiPoly:
-    """Drop all terms with exponent >= k on the named variable."""
-    i = f.table.index(name)
+def truncate_var(f: MultiPoly, bounds: dict) -> MultiPoly:
+    """Keep the terms in which some variable named in ``bounds`` has an
+    exponent below its bound: ``f`` mod the monomial ``prod(v ** k)``."""
+    cols = [(f.table.index(name), k) for name, k in bounds.items()]
+    keep = lambda e: any(e[i] < k for i, k in cols)
     if f._pair is not None:
         ints, den = f._pair
-        return _held_poly(f.table, f.field, {e: c for e, c in ints.items() if e[i] < k}, den)
-    return MultiPoly(f.table, f.field,
-                     {e: c for e, c in f.terms.items() if e[i] < k}, _clean=False)
+        return _held_poly(f.table, f.field, {e: c for e, c in ints.items() if keep(e)}, den)
+    return MultiPoly(f.table, f.field, {e: c for e, c in f.terms.items() if keep(e)}, _clean=False)
+
+
+def residual_mod(f: MultiPoly, g: MultiPoly, name: str, moved: MultiPoly, bounds: dict):
+    """``g(moved) - f`` for ``moved`` put in for ``name``, truncated by
+    ``bounds`` at every Horner step. Exact when no input inverts a variable
+    named in ``bounds``: the dropped terms then form an ideal."""
+    moved = truncate_var(moved, bounds)
+    acc = MultiPoly.zero(moved.table, moved.field)
+    for i in range(g.degree_in(name) or 0, -1, -1):
+        acc = truncate_var(acc * moved + g.coefficient_in(name, i), bounds)
+    return truncate_var(acc - f, bounds)
 
 
 def split_negative_parts(f: MultiPoly, a_name: str, b_name: str

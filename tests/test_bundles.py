@@ -56,6 +56,7 @@ from a2bundle.report import CheckBuilder, VerificationReport
 from a2bundle.maps import flatten
 from a2bundle.poly import (
     MultiPoly,
+    residual_mod,
     split_negative_parts,
     substitute,
     truncate_var,
@@ -334,8 +335,8 @@ def residual_inputs(draw, F):
 @given(data=st.data())
 def test_residual_is_the_truncated_composite(desc, data):
     f_b, g_b, moved, k = data.draw(residual_inputs(field_from_descriptor(desc)))
-    want = truncate_var(substitute(g_b, {"x": moved}) - f_b, "a", k)
-    assert bundles._residual(f_b, g_b, moved, k) == want
+    want = truncate_var(substitute(g_b, {"x": moved}) - f_b, {"a": k})
+    assert residual_mod(f_b, g_b, "x", moved, {"a": k}) == want
 
 
 def enumerated_search(f_b, g_b, m, deg_bound, pool):
@@ -363,13 +364,13 @@ def enumerated_search(f_b, g_b, m, deg_bound, pool):
         return q
 
     def residual_mod(q, k):
-        moved = truncate_var(x + a * substitute(q, {"x": f_b}), "a", k)
+        moved = truncate_var(x + a * substitute(q, {"x": f_b}), {"a": k})
         top = g_b.degree_in("x") or 0
         acc = MultiPoly.zero(PLANE, F)
         for i in range(top, -1, -1):
             acc = truncate_var(acc * moved + g_b.coefficient_in("x", i),
-                               "a", k)
-        return truncate_var(acc - f_b, "a", k)
+                               {"a": k})
+        return truncate_var(acc - f_b, {"a": k})
 
     survivors = list(itertools.product(coeffs, repeat=deg_bound + 1))
     for k in range(1, m + 1):
@@ -419,8 +420,8 @@ def search_inputs(draw):
         for _ in range(m):
             psi = truncate_var(
                 x - a * substitute(q, {"x": substitute(f_b, {"x": psi})}),
-                "a", m)
-        g_b = truncate_var(substitute(f_b, {"x": psi}), "a", m)
+                {"a": m})
+        g_b = truncate_var(substitute(f_b, {"x": psi}), {"a": m})
         if draw(st.booleans()):
             g_b = g_b + plane_terms(draw, F, (0, 3), (0, 2))
     else:

@@ -2,12 +2,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from a2bundle import bundles, maps, poly
+from a2bundle.bivariable import lemma44_bivariable, to_glue
+from a2bundle.bundles import congruence_data, prop45_check
 from a2bundle.errors import (
     CongruenceFailed,
     InvalidGenerator,
     MembershipError,
 )
+from a2bundle.fibration import PLANE, PVAR
 from a2bundle.fields import QQ
 from a2bundle.maps import (
     Lemma41Block,
@@ -20,8 +26,8 @@ from a2bundle.maps import (
     invert,
     lemma41_build,
 )
-from a2bundle.poly import MultiPoly, RingDescriptor, VarTable
-from a2bundle.exprio import parse
+from a2bundle.poly import MultiPoly, RingDescriptor, VarTable, substitute
+from a2bundle.exprio import field_from_descriptor, parse
 
 TAB = VarTable(("a", "b", "x", "y"), laurent=("a", "b"))
 BASE = ("a", "b")
@@ -176,6 +182,100 @@ def test_block_jacobian_is_one():
     assert m.jacobian_det() == one()
 
 
+def full_expansion_accepts(scalar, m, q, f, g):
+    """The block congruence decided on the full partner, the oracle for the
+    block's truncated check: with ``t = A^m*y + f`` and
+    ``v = x + A*Q(t)``, ``(t - g(v)) * A^-m`` has no negative power of a
+    variable of ``A``."""
+    _, _, x, y = MultiPoly.gens(TAB, scalar.field)
+    t = scalar ** m * y + f
+    v = x + scalar * substitute(q, {"x": t})
+    quot = (t - substitute(g, {"x": v})) * scalar ** -m
+    return all((quot.min_degree_in(n) or 0) >= 0 for n in TAB.names if scalar.involves(n))
+
+
+@pytest.mark.parametrize("desc", ["q", "fp:11", "ext:t^2+1"])
+def test_block_accepts_exactly_what_the_full_expansion_accepts(desc):
+    F = field_from_descriptor(desc)
+    a, b, _, _ = MultiPoly.gens(TAB, F)
+    coeffs = [1, -1, 2, Fraction(1, 2)]
+    if desc.startswith("ext"):
+        coeffs.append(parse("t", TAB, F).constant_value())
+    seen = set()
+
+    def terms(data, a_deg, x_deg, most):
+        drawn = data.draw(st.lists(st.tuples(
+            st.sampled_from(coeffs), st.integers(0, a_deg), st.integers(0, 3),
+            st.integers(0, x_deg)), min_size=1, max_size=most))
+        return sum((MultiPoly.monomial(TAB, F, (i, j, k, 0), c) for c, i, j, k in drawn),
+                   MultiPoly.zero(TAB, F))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def run(data):
+        scalar = data.draw(st.sampled_from([a, b, a * b, a.scale(2)]))
+        m = data.draw(st.integers(0, 3))
+        q, f = terms(data, 1, 1, 2), terms(data, 1, 2, 2)
+        # the builder's partner plus one term of random a-degree
+        g = lemma41_build(TAB, F, "x", "y", scalar, m, q, f)[0].g + terms(data, 4, 2, 1)
+        try:
+            accepted = bool(Lemma41Block("x", "y", scalar, m, q, f, g))
+        except CongruenceFailed:
+            accepted = False
+        assert accepted == full_expansion_accepts(scalar, m, q, f, g)
+        seen.add(accepted)
+
+    run()
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("scalar, which, bad", [
+    ("a", "f", "a^-1*x"), ("a", "q", "x/a"), ("a", "g", "x^2 + a^-2"),
+    ("a*b", "f", "b^-1*x^2"), ("b", "g", "x*b^-1"), ("a^-1", "f", "x^2"),
+])
+def test_block_rejects_inverting_a_variable_of_its_scalar(scalar, which, bad):
+    args = {"q": p("x"), "f": p("x^2"), "g": p("x^2"), which: p(bad)}
+    with pytest.raises(InvalidGenerator, match="inverts a variable"):
+        Lemma41Block("x", "y", p(scalar), 1, args["q"], args["f"], args["g"])
+    # a variable outside the scalar may be inverted
+    assert lemma41_build(TAB, QQ, "x", "y", p("a"), 2, p("b^-1*x"), p("x^2 + b^-1"))
+
+
+def test_lemma44_block_substitutes_into_q_alone(monkeypatch):
+    hat = lemma44_bivariable(parse("z^2", PVAR, QQ))
+    block = next(gen for gen in hat.beta_word if isinstance(gen, Lemma41Block))
+    seen, real = [], maps.substitute
+
+    def recording(target, images, into=None):
+        seen.append(target)
+        return real(target, images, into)
+
+    for module in (maps, poly):
+        monkeypatch.setattr(module, "substitute", recording)
+    Lemma41Block(*[getattr(block, name) for name in block.__slots__])
+    assert seen and all(target is block.q for target in seen)
+
+
+@pytest.mark.parametrize("field, payload, residual", [
+    ("q", "x", "3/4*a^2*x^4*b^-3 + a*x^3*b^-2"),
+    ("ext:t^2+1", "t*x", "(3*t - 1/4)*a^2*x^4*b^-3 + (2*t - 1)*a*x^3*b^-2"),
+])
+def test_block_failure_carries_the_residual_prop45_reports(monkeypatch, field, payload,
+                                                           residual):
+    F = field_from_descriptor(field)
+    f_b, g_b, m, _ = congruence_data("ex46", F)
+    q = parse(payload, PLANE, F)
+    with pytest.raises(CongruenceFailed) as ei:
+        Lemma41Block("x", "y", MultiPoly.var(TAB, F, "a"), m, to_glue(q), to_glue(f_b),
+                     to_glue(g_b))
+    assert str(ei.value.residual) == residual
+    # prop45_check reports that residual from one congruence decision
+    calls, real = [], poly.residual_mod
+    monkeypatch.setattr(maps, "residual_mod", lambda *args: calls.append(1) or real(*args))
+    assert prop45_check(f_b, g_b, m, q).residuals["congruence-mod-a^m"] == residual
+    assert len(calls) == 1 and not hasattr(bundles, "_residual")
+
+
 # ------------------------------------------------------- flattened PolyMaps
 
 
@@ -289,6 +389,13 @@ def test_scale_by_inverted_sum_divides_jacobian_exactly(monkeypatch):
 def test_flatten_rejects_moving_base_vars():
     with pytest.raises(InvalidGenerator):
         flatten((Triangular("a", p("x")),), TAB, QQ, BASE)
+
+
+def test_flatten_names_a_moved_variable_outside_the_table():
+    with pytest.raises(InvalidGenerator, match="'q'"):
+        flatten((Permute({"x": "q", "q": "x"}),), TAB, QQ, BASE)
+    # a name the relabeling fixes is never read
+    assert flatten((Permute({"q": "q"}),), TAB, QQ, BASE).is_identity()
 
 
 # ------------------------------------------------------------- memberships

@@ -804,7 +804,14 @@ def test_substitute_multiplies_once_per_degree(monkeypatch):
 
 def test_truncate_var():
     p = mk(T2, {(0, 0): 1, (1, 0): 2, (2, 0): 3})
-    assert truncate_var(p, "x", 2) == mk(T2, {(0, 0): 1, (1, 0): 2})
+    assert truncate_var(p, {"x": 2}) == mk(T2, {(0, 0): 1, (1, 0): 2})
+
+
+def test_truncate_var_is_mod_a_monomial():
+    # mod x^2*y: a term is kept when x or y stays below its bound
+    p = mk(T2, {(0, 3): 1, (1, 1): 2, (2, 0): 3, (2, 1): 4, (3, 2): 5})
+    assert truncate_var(p, {"x": 2, "y": 1}) == mk(T2, {(0, 3): 1, (1, 1): 2, (2, 0): 3})
+    assert truncate_var(p, {}) == mk(T2, {})
 
 
 def test_split_negative_parts():
@@ -905,7 +912,7 @@ def test_int_held_monomial_shift_scale_and_truncate(p, me, c):
         assert_int_held(m * int_held(p), want)
     assert_int_held(int_held(p).shift_exponents(me), shifted)
     assert_int_held(int_held(p).scale(c), {e: v * c for e, v in p.terms.items()})
-    assert_int_held(truncate_var(int_held(p), "x", me[0]),
+    assert_int_held(truncate_var(int_held(p), {"x": me[0]}),
                     {e: v for e, v in p.terms.items() if e[0] < me[0]})
 
 
@@ -1065,7 +1072,7 @@ def test_held_ext_sums_negation_and_monomials(field, data):
         assert_held_ext(int_held(p).scale(raw),
                         {e: field.mul(v, raw) for e, v in p.terms.items()})
     k = data.draw(st.integers(-4, 6))
-    assert_held_ext(truncate_var(int_held(p), "x", k),
+    assert_held_ext(truncate_var(int_held(p), {"x": k}),
                     {e: c for e, c in p.terms.items() if e[0] < k})
 
 
