@@ -13,12 +13,12 @@ chart:
 Composing one system with the inverse of the other fixes ``x`` and shifts
 ``y`` by a function of ``x`` alone; that shift, rewritten over the
 three-variable base table, is the glueing function of a plane bundle over
-the punctured base plane.  :func:`certify` derives all of this and keeps
-both chart maps; a builder continues its parent's maps with the new moves.
-A loaded document folds its two words again, but its stored glueing
-function is checked rather than derived: ``omega`` is not constant in
-``(x, y)``, so ``tau_a - tau_b == f(omega)`` holds for one ``f`` at most,
-and a degree guard rejects a wrong ``f`` before ``f(omega)`` is formed.
+the punctured base plane.  :func:`certify` checks a given glueing function
+against both folded words and keeps both chart maps: ``omega`` is not
+constant in ``(x, y)``, so ``tau_a - tau_b == f(omega)`` holds for one ``f``
+at most, and a degree guard rejects a wrong ``f`` before ``f(omega)`` is
+formed.  Every builder passes the ``f`` it constructs and continues its
+parent's maps with the new moves; a loaded document passes its stored ``f``.
 
 Besides the basic families (monomial denominators, monomial denominators
 with a base-constant shift), the module implements the two extension moves
@@ -45,12 +45,10 @@ from .fibration import PLANE, PVAR, FibrationSpec, TransitionFunction, closed_fo
 from .maps import (
     Lemma41Block,
     Permute,
-    PolyMap,
     Scale,
     Triangular,
     check_membership,
     flatten,
-    invert,
     lemma41_build,
 )
 from .poly import (
@@ -82,8 +80,9 @@ class BivariableCert(Record):
     """A machine-checked pair of chart coordinate systems sharing ``omega``.
 
     Only :func:`certify` builds instances (directly or through the builders
-    below); every field is derived there from the words, the single source
-    of truth, and a child certificate trusts its parent's maps.
+    below); every field but ``f`` is derived there from the words, the single
+    source of truth, ``f`` is checked against them, and a child certificate
+    trusts its parent's maps.
     """
 
     __slots__ = ("omega",       # the shared element, in k[a,b][x,y]
@@ -132,9 +131,9 @@ def _normalise_jacobian(word, flat, chart_var, side):
     return word + scale, flat
 
 
-def certify(omega: MultiPoly, alpha_word, beta_word, parent=None, f=None
+def certify(omega: MultiPoly, alpha_word, beta_word, f: MultiPoly, parent=None
             ) -> BivariableCert:
-    """Validate a pair of chart words for ``omega`` and extract the glueing.
+    """Validate a pair of chart words for ``omega`` and the glueing ``f``.
 
     Checks, in order: ``omega`` has no inverted variables; each Jacobian is
     a unit of its chart (then normalised to 1 by scaling ``y``); each word
@@ -145,15 +144,11 @@ def certify(omega: MultiPoly, alpha_word, beta_word, parent=None, f=None
     ``alpha(beta^{-1}(p)) = (omega, tau_b + f(omega))(beta^{-1}(p)) = (p_x,
     p_y + f(p_x))``.  The proof does not ask where ``f`` came from, and
     ``omega`` is not constant in ``(x, y)`` (its Jacobian is 1), so
-    ``f(omega)`` determines ``f``: a given ``f`` (over ``PLANE``, as a
-    loaded document stores it) is checked, never derived again.  Without
-    one, the composite word finds ``f``: folded from the map sending ``y``
-    to 0, its ``y``-image is ``f``.  A ``parent`` whose words start both
-    words seeds both folds with its maps, and the composite folds
-    ``invert(beta_new) + (y += f_parent) + alpha_new``: the parent proved
-    ``alpha_p o beta_p^{-1} = (x, y + f_parent(x))`` and :func:`flatten` is
-    compositional, so only the new moves are replayed and every check above
-    runs on the continued maps.  Before ``f(omega)`` is formed,
+    ``f(omega)`` determines ``f``: the given ``f`` (over ``PLANE``) is
+    checked, never derived.  A ``parent`` whose words start both words
+    seeds both folds with its maps; :func:`flatten` is compositional, so
+    only the new moves are replayed and every check above runs on the
+    continued maps.  Before ``f(omega)`` is formed,
     ``deg_v(tau_a - tau_b) == deg_x(f) * deg_v(omega)`` must hold for ``v``
     in ``x, y``: leading coefficients multiply in an integral domain, so the
     identity implies it, and it bounds the work a given ``f`` asks for.  Raises
@@ -188,14 +183,6 @@ def certify(omega: MultiPoly, alpha_word, beta_word, parent=None, f=None
     check_membership(flat_a, RING_A)
     check_membership(flat_b, RING_B)
 
-    if f is None:
-        on_line = dict(zip(GLUE.names, MultiPoly.gens(GLUE, F)))
-        on_line["y"] = MultiPoly.zero(GLUE, F)
-        start = PolyMap(GLUE, F, BASE, on_line, MultiPoly.zero(GLUE, F))
-        middle = (Triangular("y", to_glue(parent.f.f)),) if parent else ()
-        shift = flatten(invert(beta_word[nb:]) + middle + alpha_word[na:],
-                        GLUE, F, BASE, start=start).comps["y"]
-        f = substitute(shift, {}, into=PLANE)
     if f and f.min_degree_in("x") < 0:
         raise ShapeError(f"glueing function {f} inverts x")
 
@@ -231,7 +218,8 @@ def basic_bivariable(m: int, n: int, field: FieldSpec = QQ) -> BivariableCert:
     alpha = (Scale("x", a_m), Triangular("x", b_n * y), Scale("y", a_m ** -1))
     beta = (Permute({"x": "y", "y": "x"}), Scale("x", b_n),
             Triangular("x", a_m * y), Scale("y", -(b_n ** -1)))
-    return certify(a_m * x + b_n * y, alpha, beta)
+    ap, bp, xp = MultiPoly.gens(PLANE, field)
+    return certify(a_m * x + b_n * y, alpha, beta, xp * ap ** -m * bp ** -n)
 
 
 def with_constant(m: int, n: int, shift: MultiPoly) -> BivariableCert:
@@ -251,7 +239,9 @@ def with_constant(m: int, n: int, shift: MultiPoly) -> BivariableCert:
     plain = basic_bivariable(m, n, field=F)
     alpha = plain.alpha_word + (Triangular("x", c),)
     beta = plain.beta_word + (Triangular("x", c),)
-    return certify(plain.omega + c, alpha, beta, parent=plain)
+    x_minus_c = MultiPoly.var(PLANE, F, "x") - substitute(c, {}, into=PLANE)
+    f = substitute(plain.f.f, {"x": x_minus_c})
+    return certify(plain.omega + c, alpha, beta, f, parent=plain)
 
 
 def ex66_bivariable(field: FieldSpec = QQ) -> BivariableCert:
@@ -268,7 +258,8 @@ def ex66_bivariable(field: FieldSpec = QQ) -> BivariableCert:
              Scale("y", a ** -2))
     beta = (Triangular("y", -(a + b) * x), Scale("y", b ** -2),
             Scale("x", b ** 2), Triangular("x", (b - a) * b ** 2 * y))
-    return certify(omega, alpha, beta)
+    ap, bp, xp = MultiPoly.gens(PLANE, field)
+    return certify(omega, alpha, beta, (ap + bp) * xp * ap ** -2 * bp ** -2)
 
 
 # --------------------------------------------------------- extension moves
@@ -303,9 +294,14 @@ def _extend(cert: BivariableCert, side: str, m: int, n: int, Q: MultiPoly
     partner = (sk if side == "a" else -sk) * to_glue(cert.f.f)
     phi = lemma41_build(GLUE, F, "x", "y", s, k, q, partner)
     omega_hat = cert.omega + s * substitute(q, {"x": sk * tau})
+    # the block's argument s^k*y + partner(x) folds to s^k*tau, which it
+    # carries to omega_hat, so the other word's y becomes tau - g(omega_hat)/s^k:
+    # f is the partner g over s^k, negated when the block rides on the a-word
+    g = phi[0].g
+    f = substitute((g if side == "a" else -g) * s ** -k, {}, into=PLANE)
     on_a, on_b = (tri, phi) if side == "a" else (phi, tri)
     return certify(omega_hat, cert.alpha_word + on_a, cert.beta_word + on_b,
-                   parent=cert)
+                   f, parent=cert)
 
 
 def extend_a(cert: BivariableCert, m: int, n: int, Q: MultiPoly
@@ -499,7 +495,7 @@ def cert_from_doc(doc: dict) -> BivariableCert:
                                     for k in ("field", "omega", "alpha_word", "beta_word", "f"))
     F = field_from_descriptor(field)
     return certify(parse(omega, GLUE, F), (_gen_from_doc(d, F) for d in alpha),
-                   (_gen_from_doc(d, F) for d in beta), f=parse(f, PLANE, F))
+                   (_gen_from_doc(d, F) for d in beta), parse(f, PLANE, F))
 
 
 def cert_to_json(cert: BivariableCert) -> str:

@@ -261,7 +261,8 @@ def classify(tf: TransitionFunction) -> TrivialityVerdict:
     criteria apply.
 
     * no ``a``-denominator or no ``b``-denominator: trivial, witnessed by a
-      certificate with element ``x`` (re-certified here);
+      certificate with element ``x`` whose one move shifts ``y`` by ``f``
+      on the chart where ``f`` is regular (:func:`certify` checks ``f``);
     * denominator exponent 1 on either side and ``P(0,0,x)`` nonzero: the
       bundle is trivial iff ``deg P(0,0,x) == 1``; the trivial case is
       witnessed by the rewriting word of :func:`lemma62_variable`
@@ -276,10 +277,7 @@ def classify(tf: TransitionFunction) -> TrivialityVerdict:
         # the shift rides on the word of the chart where f is regular
         words = (((), (Triangular("y", -fg),)) if m == 0
                  else ((Triangular("y", fg),), ()))
-        cert = certify(xg, *words)
-        if cert.f.f != tf.f:
-            raise ShapeError("triviality witness recomputed a different f")
-        return TrivialityVerdict("trivial", cert, "")
+        return TrivialityVerdict("trivial", certify(xg, *words, tf.f), "")
     if m == 1 or n == 1:
         p00 = tf.p_num.set_vars_to_zero(("a", "b"))
         if p00:
@@ -410,12 +408,11 @@ def lemma62_variable(P: MultiPoly, m: int, n: int):
     # absorb -b^n*v + b*p3(x) into x: inverse block with scalar b
     w2 = invert(lemma41_build(FIVE, F, "x", "v", b5, n - 1, -x5, -p3))
     # pulling the equation back through a flattened word composes the
-    # generators in reverse, so the normalisation goes last
-    word = w2 + w1 + norm
-    final = substitute(eqn, flatten(word, FIVE, F, BASE).comps)
+    # generators in reverse: q2 is eqn pulled back through w1 + norm already
+    final = substitute(q2, flatten(w2, FIVE, F, BASE).comps)
     if final != x5:
         raise ShapeError(f"rewriting word left {final}, not x")
-    return word
+    return w2 + w1 + norm
 
 
 # ----------------------------------------------------- intersection checks

@@ -293,6 +293,11 @@ def flatten(word, table: VarTable, field, base=(), start=None) -> PolyMap:
         if hit:
             raise InvalidGenerator(
                 f"generator {gen} moves base or unknown variable(s) {hit}")
+        for name in gen.__slots__:
+            p = getattr(gen, name)
+            if isinstance(p, MultiPoly) and p.table.names != table.names:
+                raise InvalidGenerator(
+                    f"generator {gen} has {name} over {p.table.names}, not {table.names}")
         num, den = gen.apply(state)
         if num != 1:
             jac = jac * num

@@ -681,6 +681,21 @@ def test_lemma62_rewrites_to_plain_coordinate(p_text, m, n):
     assert not any(any(e) for e in jac.terms)
 
 
+def test_lemma62_flattens_each_generator_once(monkeypatch):
+    # the equation is pulled back one stage at a time, each through the
+    # stage's own flattened word, so no generator is folded twice
+    seen = []
+    real = bundles.flatten
+
+    def recorded(word, *args, **kw):
+        seen.extend(word)
+        return real(word, *args, **kw)
+
+    monkeypatch.setattr(bundles, "flatten", recorded)
+    word = lemma62_variable(ppoly("2*x + 3 + a*x^2 + b*x^2"), 2, 2)
+    assert sorted(map(id, seen)) == sorted(map(id, word))
+
+
 def test_lemma62_rejects_wrong_degree():
     with pytest.raises(DegreeNotOne):
         lemma62_variable(ppoly("x^2"), 1, 1)

@@ -61,8 +61,8 @@ def test_verify_all_matches_recorded_digest(field):
 
 def test_lemma44_multiplies_on_packed_keys(monkeypatch):
     """The digests above cover the packed-key products and the packed Horner
-    substitution only if a verify run makes some; ``lemma44``'s quadratic
-    descent does both."""
+    substitution only if a verify run makes some: ``thm12`` multiplies on
+    packed keys, and ``lemma44``'s quadratic descent substitutes on them."""
     pairs, horners = [], []
     convolve, packed_horner = poly._convolve, poly._packed_horner
 
@@ -76,10 +76,15 @@ def test_lemma44_multiplies_on_packed_keys(monkeypatch):
 
     monkeypatch.setattr(poly, "_convolve", counting)
     monkeypatch.setattr(poly, "_packed_horner", counting_horner)
-    for field in ("q", "fp:11"):
+
+    def run(check, field):
         pairs.clear()
         horners.clear()
         with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["verify", "lemma44", "--field", field]) == 0
+            assert main(["verify", check, "--field", field]) == 0
+
+    for field in ("q", "fp:11"):
+        run("thm12", field)
         assert max(pairs) >= poly.PACK_PAIRS
+        run("lemma44", field)
         assert horners

@@ -398,6 +398,16 @@ def test_flatten_names_a_moved_variable_outside_the_table():
     assert flatten((Permute({"q": "q"}),), TAB, QQ, BASE).is_identity()
 
 
+def test_flatten_names_a_generator_over_another_table():
+    # a Triangular's shift fails inside substitute, a Scale's unit inside the
+    # product, unless flatten compares the tables first
+    plane = parse("a*b", PLANE, QQ)
+    for gen, slot in ((Triangular("x", plane), "shift"), (Scale("x", plane), "unit")):
+        with pytest.raises(InvalidGenerator,
+                           match=f"{slot} over \\('a', 'b', 'x'\\), not \\('a', 'b', 'x', 'y'\\)"):
+            flatten((gen,), TAB, QQ, BASE)
+
+
 # ------------------------------------------------------------- memberships
 
 
