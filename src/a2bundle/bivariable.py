@@ -123,12 +123,10 @@ def _normalise_jacobian(word, flat, chart_var, side):
             raise JacobianNotUnit(
                 f"{side} word has jacobian {jac}, not a unit of the "
                 f"{chart_var}-chart")
+    # every generator fixes the base variable ``chart_var``, so the scale
+    # multiplies the Jacobian by exactly ``jac ** -1``
     scale = (Scale("y", jac ** -1),)
-    flat = flatten(scale, table, F, BASE, start=flat)
-    if flat.jac != one:
-        raise JacobianNotUnit(
-            f"{side} word jacobian did not normalise: {flat.jac}")
-    return word + scale, flat
+    return word + scale, flatten(scale, table, F, BASE, start=flat)
 
 
 def certify(omega: MultiPoly, alpha_word, beta_word, f: MultiPoly, parent=None
@@ -379,9 +377,10 @@ def _descend(P: MultiPoly, b: CheckBuilder) -> BivariableCert:
     F = P.field
     if F.characteristic == 2:
         raise CharTwoField("quadratic descent divides by 2")
-    if P.degree_in("z") != 2:
-        raise PreconditionViolated(
-            f"quadratic descent needs deg P == 2, got {P.degree_in('z')}")
+    deg = P.degree_in("z")
+    if deg != 2:
+        raise PreconditionViolated("quadratic descent needs deg P == 2, got "
+                                   f"{'the zero polynomial' if deg is None else deg}")
     c = P.coefficient_in("z", 2).constant_value()
     inv2c = F.inv(F.mul(F.coerce(2), c))
 

@@ -71,7 +71,6 @@ from .poly import (
     MultiPoly,
     RingDescriptor,
     VarTable,
-    split_negative_parts,
     residual_mod,
     substitute,
     truncate_var,
@@ -103,22 +102,22 @@ def a1_equiv(f: TransitionFunction, g: TransitionFunction):
 
         g = scale * f + r_a + r_b,
 
-    with ``scale`` a nonzero constant, ``r_a`` regular on the ``a``-chart
-    (no negative powers of ``b``) and ``r_b`` regular on the ``b``-chart
-    (negative powers of ``b`` but none of ``a``) -- or ``None`` when the
-    doubly-negative parts are not proportional.  Terms with both exponents
-    nonnegative are absorbed into ``r_a``.
+    with ``scale`` a nonzero constant, ``r_b`` the terms of
+    ``g - scale * f`` with a negative power of ``b`` (regular on the
+    ``b``-chart, as none inverts ``a``) and ``r_a`` the rest (regular on the
+    ``a``-chart, terms with both exponents nonnegative included) -- or
+    ``None`` when the doubly-negative parts are not proportional.
     """
     F = f.f.field
-    f_dd, _, _ = split_negative_parts(f.f, "a", "b")
-    g_dd, _, _ = split_negative_parts(g.f, "a", "b")
+    f_dd, g_dd = (truncate_var(truncate_var(h.f, {"b": 0}), {"a": 0}) for h in (f, g))
     # the only candidate scale; the doubly-negative part of g - lam*f is
     # g_dd - lam*f_dd, which vanishes exactly when the parts are proportional
     lam = F.div(g_dd.leading_term()[1], f_dd.leading_term()[1]) if f_dd and g_dd else F.one
-    dd, r_a, r_b = split_negative_parts(g.f - f.f.scale(lam), "a", "b")
-    if dd:
+    diff = g.f - f.f.scale(lam)
+    r_b = truncate_var(diff, {"b": 0})
+    if truncate_var(r_b, {"a": 0}):
         return None
-    return FieldElem(F, lam), r_a, r_b
+    return FieldElem(F, lam), diff - r_b, r_b
 
 
 # ------------------------------------------------- congruence-move witness
@@ -185,7 +184,7 @@ def prop45_check(f_b: MultiPoly, g_b: MultiPoly, m: int, Q: MultiPoly,
     one = MultiPoly.const(GLUE, F, 1)
     b.expect_zero("block-jacobian-minus-1", blk.jac - one)
     b.witness(pull_out=pull_out, block=block,  # x's image on y = 0 is x + a*Q(f_b(x))
-              moved_variable=blk.comps["x"].set_vars_to_zero(("y",)))
+              moved_variable=blk.comps["x"].coefficient_in("y", 0))
     return b.done()
 
 
@@ -279,7 +278,7 @@ def classify(tf: TransitionFunction) -> TrivialityVerdict:
                  else ((Triangular("y", fg),), ()))
         return TrivialityVerdict("trivial", certify(xg, *words, tf.f), "")
     if m == 1 or n == 1:
-        p00 = tf.p_num.set_vars_to_zero(("a", "b"))
+        p00 = tf.p_num.coefficient_in("a", 0).coefficient_in("b", 0)
         if p00:
             deg = p00.degree_in("x")
             if deg == 1:
@@ -375,7 +374,7 @@ def lemma62_variable(P: MultiPoly, m: int, n: int):
         raise PreconditionViolated("P must involve only a, b and x")
     if not RingDescriptor.polynomials(FIVE).contains(p5):
         raise PreconditionViolated("P must be polynomial in a, b and x")
-    p00 = p5.set_vars_to_zero(("a", "b"))
+    p00 = p5.coefficient_in("a", 0).coefficient_in("b", 0)
     if p00.degree_in("x") != 1:
         raise DegreeNotOne(
             f"P(0,0,x) = {p00} must have degree exactly 1 in x")

@@ -85,7 +85,7 @@ VERIFY = {
         for p, n in _pairs(args)]),
     "prop22": (("P", "n", "smax"), lambda args, F: [verify_stable_variable(
         FibrationSpec(_zpoly(_or(args.P, "z^2"), F), _or(args.n, 1)),
-        s_max=_or(args.smax, 12))]),
+        s_max=_or(args.smax, MAX_FLAG))]),
     "thm12": (("P", "n", "m"), lambda args, F: [
         verify_bundle_identity(FibrationSpec(_zpoly(p, F), n), m=args.m)
         for p, n in _pairs(args)]),

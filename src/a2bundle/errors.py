@@ -89,7 +89,7 @@ class UnexpectedVariable(AlgebraError):
 
 
 class NegativeExponentAtZero(AlgebraError):
-    """set_vars_to_zero hit a variable occurring with a negative exponent."""
+    """evaluate put 0 for a variable occurring with a negative exponent."""
 
 
 class ExprSyntaxError(AlgebraError):

@@ -55,7 +55,7 @@ class FibrationSpec(Record):
         if self.P.table.names != PVAR.names:
             raise PreconditionViolated(
                 f"P must be univariate in z, got table {self.P.table.names}")
-        deg = self.P.total_degree()
+        deg = self.P.degree_in("z")
         if deg is None or deg < 2:
             raise PreconditionViolated("P must have degree >= 2")
         if self.P.min_degree_in("z") < 0:
@@ -69,7 +69,7 @@ class FibrationSpec(Record):
 
     @property
     def deg_p(self) -> int:
-        return self.P.total_degree()
+        return self.P.degree_in("z")
 
     def p_at(self, image: MultiPoly) -> MultiPoly:
         """P evaluated at a polynomial image (over the image's table)."""
@@ -292,7 +292,7 @@ def verify_bundle_identity(spec: FibrationSpec, m: int | None = None
 
     # (ii) the numerator G vanishes at x = 0, so W = G/x is a polynomial
     G = u * v_pow[2] * y + v_pow[2] * spec.p_at(z) - omega * y
-    b.expect_zero("numerator-at-x=0", G.set_vars_to_zero(("x",)))
+    b.expect_zero("numerator-at-x=0", G.coefficient_in("x", 0))
     W = divide_exact(G, x)
 
     # (iii) H = x^(mn-1)*P(omega/x) clears all inverse powers of x

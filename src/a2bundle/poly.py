@@ -480,12 +480,6 @@ class MultiPoly:
 
     # --------------------------------------------------------------- queries
 
-    def total_degree(self):
-        """Max over terms of the exponent sum; None for the zero polynomial."""
-        if not self:
-            return None
-        return max(sum(e) for e in self._stored())
-
     def degree_in(self, name: str):
         if not self:
             return None
@@ -558,22 +552,6 @@ class MultiPoly:
                 c = f.mul(c, _coeff_power(f, base, k))
             total = f.add(total, c)
         return FieldElem(f, total)
-
-    def set_vars_to_zero(self, names) -> "MultiPoly":
-        """Substitute 0 for the listed variables (kills positive powers,
-        keeps exponent-0 terms, rejects negative powers)."""
-        idxs = [self.table.index(n) for n in names]
-        out = {}
-        for e, c in self.terms.items():
-            bad = [i for i in idxs if e[i] < 0]
-            if bad:
-                raise NegativeExponentAtZero(
-                    f"term with exponents {e} has a negative power of "
-                    f"{self.table.names[bad[0]]}")
-            if any(e[i] > 0 for i in idxs):
-                continue
-            out[e] = c
-        return MultiPoly(self.table, self.field, out, _clean=False)
 
     # ------------------------------------------------------------- printing
 
@@ -850,7 +828,9 @@ def divide_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
 
 def truncate_var(f: MultiPoly, bounds: dict) -> MultiPoly:
     """Keep the terms in which some variable named in ``bounds`` has an
-    exponent below its bound: ``f`` mod the monomial ``prod(v ** k)``."""
+    exponent below its bound. When no named variable has a negative power
+    this is ``f`` mod the monomial ``prod(v ** k)``; a bound of 0 keeps the
+    part with a negative power of that variable."""
     cols = [(f.table.index(name), k) for name, k in bounds.items()]
     keep = lambda e: any(e[i] < k for i, k in cols)
     if f._pair is not None:
@@ -868,32 +848,6 @@ def residual_mod(f: MultiPoly, g: MultiPoly, name: str, moved: MultiPoly, bounds
     for i in range(g.degree_in(name) or 0, -1, -1):
         acc = truncate_var(acc * moved + g.coefficient_in(name, i), bounds)
     return truncate_var(acc - f, bounds)
-
-
-def split_negative_parts(f: MultiPoly, a_name: str, b_name: str
-                         ) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-    """Three-way split of a Laurent polynomial by the signs of two exponents.
-
-    Returns ``(doubly_negative, b_nonneg, a_nonneg_b_neg)``:
-
-    * ``doubly_negative`` -- terms with both exponents negative;
-    * ``b_nonneg``        -- terms with exponent of ``b_name`` >= 0 (this part
-      absorbs the terms where neither exponent is negative);
-    * ``a_nonneg_b_neg``  -- terms with ``a_name`` >= 0 but ``b_name`` < 0.
-
-    The three parts sum back to ``f``.
-    """
-    ia, ib = f.table.index(a_name), f.table.index(b_name)
-    dneg, b_ok, a_ok = {}, {}, {}
-    for e, c in f.terms.items():
-        if e[ib] >= 0:
-            b_ok[e] = c
-        elif e[ia] >= 0:
-            a_ok[e] = c
-        else:
-            dneg[e] = c
-    mk = lambda d: MultiPoly(f.table, f.field, d, _clean=False)
-    return mk(dneg), mk(b_ok), mk(a_ok)
 
 
 # ------------------------------------------------------------- memberships

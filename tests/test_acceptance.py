@@ -8,8 +8,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from a2bundle.bivariable import (
     GLUE,
     RING_ALL,
@@ -39,7 +37,6 @@ from a2bundle.fibration import (
     closed_form_m1,
     closed_form_m2,
     closed_form_m2 as _cf2,
-    minimal_m,
     transition_formula,
     verify_bundle_identity,
     verify_coordinate_facts,

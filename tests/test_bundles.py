@@ -51,13 +51,12 @@ from a2bundle.fibration import (
     formal_transition,
     transition_function,
 )
-from a2bundle.fields import QQ, PrimeField, Rationals
+from a2bundle.fields import QQ, FieldElem, PrimeField, Rationals
 from a2bundle.report import CheckBuilder, VerificationReport
 from a2bundle.maps import flatten
 from a2bundle.poly import (
     MultiPoly,
     residual_mod,
-    split_negative_parts,
     substitute,
     truncate_var,
 )
@@ -162,6 +161,69 @@ def test_a1_equiv_roundtrip_property(lam, r_a, r_b):
     assert got_lam.value == lam
     assert got_a == r_a
     assert got_b == r_b
+
+
+def split_negative_parts(p):
+    """``(doubly_negative, b_nonneg, a_nonneg_b_neg)``: the terms of ``p``
+    with both exponents of a and b negative, with that of b nonnegative, and
+    the rest, as an oracle for :func:`a1_equiv`."""
+    parts = ({}, {}, {})
+    for e, c in p.terms.items():
+        parts[0 if e[0] < 0 and e[1] < 0 else 1 if e[1] >= 0 else 2][e] = c
+    return tuple(MultiPoly(PLANE, p.field, d) for d in parts)
+
+
+def reference_a1_equiv(f, g):
+    """``(lam, r_a, r_b)`` with ``g - lam*f`` free of doubly-negative terms,
+    or None; only one nonzero ``lam`` can work when ``f`` has such terms."""
+    F = f.field
+    f_dd, g_dd = split_negative_parts(f)[0], split_negative_parts(g)[0]
+    lam = F.one
+    if f_dd:
+        e, c = next(iter(f_dd.terms.items()))
+        lam = F.div(g_dd.terms.get(e, F.zero), c)
+        if F.is_zero(lam):
+            return None
+    dd, r_a, r_b = split_negative_parts(g - f.scale(lam))
+    return None if dd else (FieldElem(F, lam), r_a, r_b)
+
+
+small = st.integers(-3, 3)
+A1_FIELDS = [(QQ, small), (PrimeField(11), small),
+             (field_from_descriptor("ext:t^2+1"), st.tuples(small, small))]
+
+
+def plane_polys(F, cs, a_exps, b_exps):
+    return st.dictionaries(st.tuples(a_exps, b_exps, st.integers(0, 2)), cs, max_size=4).map(
+        lambda d: MultiPoly(PLANE, F, {e: F.coerce(c) for e, c in d.items()}))
+
+
+@pytest.mark.parametrize("F, cs", A1_FIELDS, ids=["q", "fp:11", "ext:t^2+1"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a1_equiv_matches_the_split_oracle(F, cs, data):
+    neg, laurent = st.integers(-2, -1), st.integers(-2, 2)
+    f_dd, g_dd = (data.draw(plane_polys(F, cs, neg, neg)) for _ in range(2))
+    shape = data.draw(st.sampled_from(["proportional", "independent", "zero"]))
+    if shape == "proportional":
+        g_dd = f_dd.scale(F.coerce(data.draw(cs.filter(lambda c: not F.is_zero(F.coerce(c))))))
+    elif shape == "zero":
+        g_dd = MultiPoly.zero(PLANE, F)
+        if data.draw(st.booleans()):
+            f_dd = g_dd
+
+    def outside_quadrant():
+        _, b_nonneg, a_only = split_negative_parts(data.draw(plane_polys(F, cs, laurent, laurent)))
+        return b_nonneg + a_only
+
+    f, g = f_dd + outside_quadrant(), g_dd + outside_quadrant()
+    want = reference_a1_equiv(f, g)
+    if shape == "proportional" or not (f_dd or g_dd):
+        assert want is not None
+    elif shape == "zero":
+        assert want is None  # f has doubly-negative terms, g has none
+    got = a1_equiv(TransitionFunction.from_poly(f), TransitionFunction.from_poly(g))
+    assert got == want
 
 
 # ------------------------------------------------- congruence-move witness

@@ -16,7 +16,6 @@ from a2bundle.cli import main
 from a2bundle.exprio import parse, to_expr
 from a2bundle.fibration import PVAR, FibrationSpec, formal_transition
 from a2bundle.fields import QQ
-from a2bundle.poly import MultiPoly
 
 
 def run(capsys, *argv):
@@ -174,6 +173,7 @@ def test_verify_stray_flag_rejected(capsys):
     (("prop22", "--smax", "0"), "no polynomial conjugate for s = 1..0"),
     (("lemma52", "--m", "0"), "glueing exponent m must be >= 1"),
     (("lemma21", "--P", ""), "expected a value, found 'end of input'"),
+    (("lemma44", "--P", "0"), "deg P == 2, got the zero polynomial\n"),
 ])
 def test_verify_explicit_zero_or_empty_flag_is_not_the_default(
         capsys, argv, message):

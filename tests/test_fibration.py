@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 import sympy
 

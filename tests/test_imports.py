@@ -5,7 +5,8 @@ A stdlib ``ast`` scan standing in for a linter: for each module of
 ``src/a2bundle`` it collects the names bound by relative imports
 (``from .x import y``, also inside functions) and by every module-level
 import (``import x``, ``from x import y``), and fails on any that the module
-never reads. Names used only inside quoted annotations count as read.
+never reads. The module-level scan covers ``tests/*.py`` as well. Names
+used only inside quoted annotations count as read.
 ``from __future__`` imports bind nothing to read. ``__init__.py`` is
 skipped: its imports are the package's re-exports.
 
@@ -49,6 +50,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "a2bundle"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def _annotations(tree):
@@ -96,7 +98,7 @@ def test_no_unused_relative_imports(path):
         n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level > 0])
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=[p.name for p in MODULES + TESTS])
 def test_no_unused_module_level_imports(path):
     _assert_all_read(path, lambda tree: [
         n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))])

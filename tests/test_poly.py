@@ -26,7 +26,6 @@ from a2bundle.poly import (
     RingDescriptor,
     VarTable,
     divide_exact,
-    split_negative_parts,
     substitute,
     truncate_var,
 )
@@ -421,7 +420,7 @@ def test_extension_coeff_arithmetic():
 
 def test_degrees_and_leading():
     p = mk(T3, {(-1, -2, 1): 1, (-3, -1, 2): -1})
-    assert p.total_degree() == -2
+    assert p.degree_in("a") == -1
     assert p.degree_in("x") == 2
     assert p.min_degree_in("a") == -3
     # graded tie broken by exponent tuple, descending
@@ -458,14 +457,6 @@ def test_evaluate():
         q.evaluate({"a": 0, "b": 1, "x": 1})
     with pytest.raises(UnexpectedVariable):
         p.evaluate({"x": 1})
-
-
-def test_set_vars_to_zero():
-    p = mk(T2, {(2, 1): 1, (0, 2): 4, (0, 0): 9})
-    assert p.set_vars_to_zero(["x"]) == mk(T2, {(0, 2): 4, (0, 0): 9})
-    q = mk(T3, {(-1, 0, 0): 1})
-    with pytest.raises(NegativeExponentAtZero):
-        q.set_vars_to_zero(["a"])
 
 
 # ------------------------------------------------------------ exact division
@@ -814,14 +805,23 @@ def test_truncate_var_is_mod_a_monomial():
     assert truncate_var(p, {}) == mk(T2, {})
 
 
-def test_split_negative_parts():
-    p = mk(T3, {(-1, -1, 0): 1, (-1, 2, 0): 2, (0, 0, 3): 3, (2, -3, 1): 4})
-    dneg, b_ok, a_only = split_negative_parts(p, "a", "b")
-    assert dneg == mk(T3, {(-1, -1, 0): 1})
-    # terms with e_b >= 0 land in the middle part even when e_a < 0
-    assert b_ok == mk(T3, {(-1, 2, 0): 2, (0, 0, 3): 3})
-    assert a_only == mk(T3, {(2, -3, 1): 4})
-    assert dneg + b_ok + a_only == p
+def set_vars_to_zero(p, names):
+    """``p`` with 0 put in for the named variables, none of which may occur
+    with a negative power, as an oracle for ``coefficient_in(name, 0)``."""
+    idxs = [p.table.index(n) for n in names]
+    assert all(e[i] >= 0 for e in p.terms for i in idxs)
+    return MultiPoly(p.table, p.field,
+                     {e: c for e, c in p.terms.items() if not any(e[i] for i in idxs)})
+
+
+@pytest.mark.parametrize("field, cs", FIELDS, ids=FIELD_IDS)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_coefficient_at_zero_is_setting_the_variable_to_zero(field, cs, data):
+    p = data.draw(polys_over(T3, field, cs, nn3, max_size=8))
+    assert p.coefficient_in("x", 0) == set_vars_to_zero(p, ("x",))
+    assert (p.coefficient_in("a", 0).coefficient_in("b", 0)
+            == set_vars_to_zero(p, ("a", "b")))
 
 
 def test_ring_descriptor():
