@@ -35,9 +35,11 @@ any other divisor it keeps one remainder dictionary and pops a heap.
 Substitution never raises an image to a power. A single-term image acts on
 each term's exponents and coefficient directly. The terms are then grouped
 by their exponents on the variables whose images have several terms, and
-the groups are evaluated by Horner's rule, one product per degree. Over F_p,
-and over Q on held ints, a large evaluation packs the groups and images once
-and runs every step as one integer convolution on packed keys; the result is
+the groups are evaluated by Horner's rule, one product per degree. A large
+evaluation over F_p or over held values (ints over Q, int vectors over
+Q[t]/(m), each vector packed into one int at t = 2^w) packs the groups and
+images once and runs every step as one integer convolution on packed keys,
+taken mod p over F_p; over Q[t]/(m) the result is reduced mod m once. It is
 unpacked and normalised once.
 """
 
@@ -602,9 +604,10 @@ def substitute(poly: MultiPoly, images: dict, into: VarTable | None = None
     product. The groups are then evaluated by Horner's rule in the first
     multi-term image ``X``, ``sum C_k X^k = (C_n*X + C_(n-1))*X + ... + C_0``,
     where each ``C_k`` is evaluated the same way over the remaining images.
-    Over F_p, and over held Q ints that no image scales, an evaluation of at
-    least :data:`PACK_PAIRS` estimated pairs (group terms times the longest
-    image times the top degree) runs on packed keys (:func:`_packed_horner`).
+    Over F_p, and over held Q ints or Q[t]/(m) vectors that no image scales,
+    an evaluation of at least :data:`PACK_PAIRS` estimated pairs (group terms
+    times the longest image times the top degree) runs on packed keys
+    (:func:`_packed_horner`).
     """
     f = poly.field
     target = into
@@ -673,7 +676,7 @@ def substitute(poly: MultiPoly, images: dict, into: VarTable | None = None
     groups = {key: _add_into({}, pairs, 1, vec) if held else _accumulate({}, pairs, f)
               for key, pairs in grouped.items()}
     images = [img for _, img in multi]
-    if images and (held and not vec or isinstance(f, PrimeField)) and PACK_PAIRS <= (
+    if images and (held or isinstance(f, PrimeField)) and PACK_PAIRS <= (
             sum(map(len, groups.values())) * max(map(len, images)) * max(map(sum, groups))):
         return _packed_horner(groups, images, target, f, den)
     for key, g in groups.items():
@@ -729,16 +732,27 @@ def _horner(groups, images, mul, add):
 
 
 def _packed_horner(groups, images, target, field, den):
-    """:func:`_horner` on int dicts with packed keys, for the int groups of
-    :func:`substitute`: held ints over ``den`` over Q, residues over F_p.
+    """:func:`_horner` on int dicts with packed keys, for the held groups of
+    :func:`substitute`: ints over ``den`` over Q, int vectors over ``den``
+    over Q[t]/(m), residues over F_p.
 
     One :func:`_layout` covers every partial sum, a group's exponents plus up
     to ``top_i`` (image i's highest power) exponents of each image i. With
-    image i held as ints over ``d_i``, a group of key k is scaled by
-    ``prod(d_i ** (top_i - k_i))``, so each partial sum is ints over
+    image i held over ``d_i``, a group of key k is scaled by
+    ``prod(d_i ** (top_i - k_i))``, so each partial sum is held over
     ``den * prod(d_i ** top_i)``; each step is one :func:`_mul_packed`,
-    taken mod p over F_p, and the result is unpacked and normalised once."""
-    prime = isinstance(field, PrimeField)
+    taken mod p over F_p, and the result is unpacked and normalised once.
+
+    Over Q[t]/(m) each vector is packed into one int at t = 2^w, as in
+    :func:`_mul_vectors`, and the result is reduced mod m once
+    (``_reduce_packed``), k = (d-1) * sum(top) steps past degree d-1. Packed
+    products and sums are exact whatever w is, so w need only let that
+    reduction read its digits: 3 bits above ``B * (L+C)^k``. Here B is the
+    sum over groups of ``l1(group) * scale * prod(l1(image_i) ** k_i)``, l1
+    being the sum of the absolute values of the held ints; l1 of a product
+    is at most the product of the l1s, so B bounds the l1, and so every
+    t-coefficient, of the unreduced result."""
+    prime, vec = isinstance(field, PrimeField), isinstance(field, QuotientExtension)
     xs, dens = zip(*[(img.terms, 1) if prime else img._held() for img in images])
     top = [max(key[i] for key in groups) for i in range(len(images))]
     lo, hi = [0] * len(target), [0] * len(target)
@@ -747,20 +761,32 @@ def _packed_horner(groups, images, target, field, den):
             lo[v] += t * min(0, *col)
             hi[v] += t * max(0, *col)
     fields, bias = _layout(zip(lo, hi))
-    for key, g in groups.items():
-        s = prod([d ** (t - k) for d, t, k in zip(dens, top, key)])
-        groups[key] = {k: c * s for k, c in _pack(g.items(), fields)}
+    scales = {key: prod([d ** (t - k) for d, t, k in zip(dens, top, key)]) for key in groups}
+    if vec:
+        k = (field.degree - 1) * sum(top)
+        l1 = lambda t: sum(map(abs, chain.from_iterable(t.values())))
+        norms = [l1(x) for x in xs]
+        bound = sum([l1(g) * scales[key] * prod(map(pow, norms, key))
+                     for key, g in groups.items()])
+        w = (bound * field._mod[1] ** k).bit_length() + 3
+        shifts = range(0, w * field.degree, w)
+        packed = lambda t: [(e, sum(map(lshift, u, shifts))) for e, u in t.items()]
+    else:
+        packed = dict.items
+    groups = {key: {e: c * scales[key] for e, c in _pack(packed(g), fields)}
+              for key, g in groups.items()}
 
     def reduced(out):
         return {k: r for k, c in out.items() if (r := c % field.p)} if prime else out
 
-    acc = _unpack(reduced(_horner(groups, [_pack(x.items(), fields) for x in xs],
-                                  lambda acc, x: reduced(_mul_packed(acc.items(), x)),
-                                  lambda acc, c: _add_into(acc, c.items(), 1, False))),
-                  fields, bias)
+    acc = reduced(_horner(groups, [_pack(packed(x), fields) for x in xs],
+                          lambda acc, x: reduced(_mul_packed(acc.items(), x)),
+                          lambda acc, c: _add_into(acc, c.items(), 1, False)))
     if prime:
-        return MultiPoly(target, field, acc, _clean=False)
-    return _held_poly(target, field, acc, den * prod([d ** t for d, t in zip(dens, top)]))
+        return MultiPoly(target, field, _unpack(acc, fields, bias), _clean=False)
+    acc, scale = field._reduce_packed(acc.items(), w, k) if vec else (acc, 1)
+    return _held_poly(target, field, _unpack(acc, fields, bias),
+                      den * scale * prod([d ** t for d, t in zip(dens, top)]))
 
 
 def divide_exact(num: MultiPoly, den: MultiPoly) -> MultiPoly:
@@ -832,11 +858,15 @@ def truncate_var(f: MultiPoly, bounds: dict) -> MultiPoly:
     this is ``f`` mod the monomial ``prod(v ** k)``; a bound of 0 keeps the
     part with a negative power of that variable."""
     cols = [(f.table.index(name), k) for name, k in bounds.items()]
-    keep = lambda e: any(e[i] < k for i, k in cols)
+    items = f.terms.items() if f._pair is None else f._pair[0].items()
+    if len(cols) == 1:
+        (i, k), = cols
+        kept = {e: c for e, c in items if e[i] < k}
+    else:
+        kept = {e: c for e, c in items if any(e[i] < k for i, k in cols)}
     if f._pair is not None:
-        ints, den = f._pair
-        return _held_poly(f.table, f.field, {e: c for e, c in ints.items() if keep(e)}, den)
-    return MultiPoly(f.table, f.field, {e: c for e, c in f.terms.items() if keep(e)}, _clean=False)
+        return _held_poly(f.table, f.field, kept, f._pair[1])
+    return MultiPoly(f.table, f.field, kept, _clean=False)
 
 
 def residual_mod(f: MultiPoly, g: MultiPoly, name: str, moved: MultiPoly, bounds: dict):

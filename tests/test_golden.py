@@ -83,7 +83,7 @@ def test_lemma44_multiplies_on_packed_keys(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["verify", check, "--field", field]) == 0
 
-    for field in ("q", "fp:11"):
+    for field in ("q", "fp:11", "ext:t^2+1"):
         run("thm12", field)
         assert max(pairs) >= poly.PACK_PAIRS
         run("lemma44", field)

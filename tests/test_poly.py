@@ -700,30 +700,44 @@ def count_calls(monkeypatch, owner, names):
     return counts
 
 
-@pytest.mark.parametrize("field, cs", [(QQ, coeffs), (F11, f11_coeffs), (F2, st.integers(-5, 5))],
-                         ids=["q", "fp:11", "fp:2"])
+# a scalar near 2^200 over a denominator near 2^200
+wide = st.builds(Fraction, st.integers(2 ** 199, 2 ** 200), st.integers(2 ** 199, 2 ** 200))
+
+
+@pytest.mark.parametrize("field, cs", [(QQ, coeffs), (F11, f11_coeffs), (F2, st.integers(-5, 5)),
+                                       (EXT_I, ext_coeffs), (EXT_5, ext_coeffs),
+                                       (EXT_CBRT2, st.tuples(coeffs, coeffs, coeffs))],
+                         ids=["q", "fp:11", "fp:2", "ext:t^2+1", "ext:5t^2-1", "ext:t^3-2"])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_packed_substitute_matches_naive(field, cs, data):
     # a occurs inverted and maps to a Laurent monomial (of coefficient 1 over
-    # Q, where a scaling image leaves the held ints), so target exponents go
-    # negative; b, x and y map to up to three multi-term images
+    # Q and Q[t]/(m), where a scaling image leaves the held ints), so target
+    # exponents go negative; b, x and y map to up to three multi-term images
     src = st.tuples(st.integers(-3, 3), *[st.integers(0, 3)] * 3)
     p = data.draw(polys_over(T4, field, cs, src, max_size=10))
     c = data.draw(nonzero(field, cs))
-    images = {"a": MultiPoly.monomial(T4, field, data.draw(small4), 1 if field is QQ else c)}
+    held = not isinstance(field, PrimeField)
+    images = {"a": MultiPoly.monomial(T4, field, data.draw(small4), 1 if held else c)}
     for n in "bxy":
         images[n] = data.draw(polys_over(T4, field, nonzero(field, cs), small4,
                                          min_size=2, max_size=4))
-    kind = data.draw(st.sampled_from(["plain", "zero image", "cancelling group"]))
-    if kind == "zero image":
+    kinds = ["plain", "zero image", "cancelling group"] + held * ["wide"]
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "wide":
+        # held ints near 2^400, so that a packed vector's width comes from
+        # its bound and not from slack
+        scalars = wide if field is QQ else st.tuples(*[wide] * field.degree)
+        p = p.scale(data.draw(scalars))
+        images["x"] = images["x"].scale(data.draw(scalars))
+    elif kind == "zero image":
         images["b"] = MultiPoly.zero(T4, field)
     elif kind == "cancelling group":
         # with a -> 1, c*a*y^4 and -c*y^4 are the whole group of y^4
         images["a"] = MultiPoly.const(T4, field, 1)
         a_y4 = MultiPoly.monomial(T4, field, (1, 0, 0, 4), c)
         p = p + a_y4 - a_y4.shift_exponents((-1, 0, 0, 0))
-    if field is QQ:
+    if held:
         p = int_held(p)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(poly, "PACK_PAIRS", 1)
@@ -751,11 +765,11 @@ def test_packed_substitute_threshold_boundary(monkeypatch, field):
         counts = count_calls(monkeypatch, poly, ["_packed_horner", "_held_poly"])
         muls = count_calls(monkeypatch, MultiPoly, ["__mul__"])
         assert substitute(p, {"x": x}).terms == want
-        packs = threshold == 512 and field is not EXT_I
+        packs = threshold == 512
         assert counts["_packed_horner"] == packs
         # a packed evaluation multiplies no MultiPoly and normalises once
         assert muls["__mul__"] == (0 if packs else 8)
-        if packs and field is QQ:
+        if packs and field is not F11:
             assert counts["_held_poly"] == 1
         monkeypatch.undo()
 
@@ -803,6 +817,24 @@ def test_truncate_var_is_mod_a_monomial():
     p = mk(T2, {(0, 3): 1, (1, 1): 2, (2, 0): 3, (2, 1): 4, (3, 2): 5})
     assert truncate_var(p, {"x": 2, "y": 1}) == mk(T2, {(0, 3): 1, (1, 1): 2, (2, 0): 3})
     assert truncate_var(p, {}) == mk(T2, {})
+
+
+@pytest.mark.parametrize("field, cs", FIELDS, ids=FIELD_IDS)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_truncate_var_matches_generic_filter(field, cs, data):
+    # one bound and two bounds, on raw terms and on held ints alike, keep
+    # exactly the terms with some bounded exponent below its bound
+    p = data.draw(polys_over(T3, field, cs, laurent3, max_size=8))
+    names = data.draw(st.lists(st.sampled_from(T3.names), min_size=2, max_size=2, unique=True))
+    ks = data.draw(st.tuples(st.integers(-2, 3), st.integers(-2, 3)))
+    for bounds in ({names[0]: ks[0]}, dict(zip(names, ks))):
+        cols = [(T3.index(n), k) for n, k in bounds.items()]
+        want = {e: c for e, c in p.terms.items() if any(e[i] < k for i, k in cols)}
+        assert truncate_var(p, bounds).terms == want
+        if not isinstance(field, PrimeField):
+            held = int_held(MultiPoly(T3, field, dict(p.terms)))  # p stays raw
+            assert truncate_var(held, bounds).terms == want
 
 
 def set_vars_to_zero(p, names):
